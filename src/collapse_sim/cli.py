@@ -246,7 +246,10 @@ def cmd_sweep(args, root: dict, threads: int) -> int:
     if mode == "step":
         m = int(_setting("m", args, block, {}, 64))
         horizon = float(_setting("horizon", args, block, {}, 1.0))
-        report = initial_step_experiment(n_list, params, horizon=horizon, m=m)
+        try:
+            report = initial_step_experiment(n_list, params, horizon=horizon, m=m)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         _write_csv(
             out,
             ["N", "mean_rise", "stderr", "realizations"],
@@ -270,7 +273,10 @@ def cmd_sweep(args, root: dict, threads: int) -> int:
     if m < 1:
         raise ConfigError("m must be a positive integer")
     n_min = int(_setting("n_min", args, block, {}, 4))
-    table = scaling_sweep(n_list, params, m, workers=threads)
+    try:
+        table = scaling_sweep(n_list, params, m, workers=threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     _write_csv(
         out,
         ["N", "mean_time", "stderr", "realizations", "exceeded"],
@@ -512,7 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bloch.add_argument("--energy", type=float)
     p_bloch.add_argument("--tunneling", type=float)
     p_bloch.add_argument("--tau-m", dest="tau_m", type=float)
-    p_bloch.add_argument("--twin", type=_parse_bool)
+    p_bloch.add_argument(
+        "--twin",
+        type=_parse_bool,
+        help="also report twin_max_deviation, the largest gap between the "
+        "occupation and Bloch steppers fed the same noise; it measures "
+        "integrator agreement only while neither stepper repairs its state, "
+        "so use a small --dt (at dt=1/25 boundary repairs dominate it)",
+    )
     p_bloch.add_argument("--twin-steps", dest="twin_steps", type=int)
     p_bloch.add_argument("--output")
     p_bloch.add_argument("--summary-output", dest="summary_output")

@@ -51,35 +51,45 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.sort(values).sum())
 
 
-def _sym_dot(v: np.ndarray, dw: np.ndarray) -> float:
-    return _ordered_sum(v * dw)
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    # The sorted sum along the last axis of a C-contiguous array.  Each row
+    # is then summed as one contiguous run, with the same pairwise grouping
+    # as ``_ordered_sum`` on that row alone; a strided row would be grouped
+    # differently and could differ in the last bit.
+    return np.sort(values, axis=-1).sum(axis=-1)
 
 
 def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Raw increment of the V system for one vector of Wiener increments.
+    """Raw increment of the V system for Wiener increments ``dw``.
 
     Parameters
     ----------
-    state : array of shape (n,)
-        Occupation coordinates on the simplex sum(V) = 2.
-    dw : array of shape (n,)
+    state : array of shape (n,) or (rows, n)
+        Occupation coordinates on the simplex sum(V) = 2, one state per
+        row.
+    dw : array of the same shape
         Wiener increments, one per site, already scaled by sqrt(dt).
 
     Returns
     -------
-    Array of per-site changes.  When ``sum(state) == 2`` the entries sum
-    to zero up to rounding, so no drift off the simplex is introduced.
+    Array of per-site changes, shaped like ``state``.  When
+    ``sum(state) == 2`` the entries of a row sum to zero up to rounding,
+    so no drift off the simplex is introduced.  Every row is computed
+    exactly as it would be on its own.
     """
-    state = np.asarray(state, dtype=float)
-    dw = np.asarray(dw, dtype=float)
+    state = np.ascontiguousarray(state, dtype=float)
+    dw = np.ascontiguousarray(dw, dtype=float)
     if state.shape != dw.shape:
         raise ValueError("state and noise must have matching shapes")
-    s = _sym_dot(state, dw)
-    return state * (2.0 * dw - s)
+    s = _row_sums(state * dw)
+    out = 2.0 * dw
+    out -= s[..., None]
+    out *= state
+    return out
 
 
-def _repair_simplex(raw: np.ndarray) -> np.ndarray:
-    """Project a stepped state back onto [0, 2]^n with total exactly 2.
+def _repair_row(raw: np.ndarray) -> np.ndarray:
+    """Project one stepped state back onto [0, 2]^n with total exactly 2.
 
     Out-of-range components are clamped and the remaining budget is spread
     over the untouched ones in proportion to their current values.  A final
@@ -115,19 +125,50 @@ def _repair_simplex(raw: np.ndarray) -> np.ndarray:
     return w
 
 
+def _repair_simplex(raw: np.ndarray) -> np.ndarray:
+    """Repair every row of a C-contiguous (rows, n) array of stepped states.
+
+    A row that stayed inside [0, 2] with a positive total only needs the
+    final uniform rescale, which is done for all such rows at once.  Any
+    other row goes through :func:`_repair_row` on its own: spreading the
+    budget over a variable number of free sites per row cannot keep the
+    summation grouping of the one-row code, so those rows are not merged.
+    """
+    w = np.clip(raw, 0.0, 2.0)
+    # Clipping changed a component exactly where _repair_row would clamp.
+    bad = (w != raw).any(axis=1)
+    n_bad = np.count_nonzero(bad)
+    if n_bad < len(w):
+        total = _row_sums(w)
+        positive = total > 0.0
+        if not positive.all():
+            bad |= ~positive
+            n_bad = np.count_nonzero(bad)
+            total[bad] = 1.0
+        w *= (2.0 / total)[:, None]
+    if n_bad:
+        for r in bad.nonzero()[0]:
+            w[r] = _repair_row(raw[r])
+    return w
+
+
 def euler_step(state: np.ndarray, noise: np.ndarray, dt: float) -> np.ndarray:
     """Advance the state by one step of size ``dt``.
 
-    ``noise`` holds unit-variance samples; they are scaled by sqrt(dt)
-    internally.  The result is clamped and renormalized so it stays a valid
-    simplex point with total exactly 2 up to rounding.
+    ``state`` is one vector of shape (n,) or a (rows, n) array holding one
+    independent state per row, with ``noise`` of the same shape; a vector
+    is stepped as a single row.  The noise holds unit-variance samples;
+    they are scaled by sqrt(dt) internally.  The result is clamped and
+    renormalized so each row stays a valid simplex point with total
+    exactly 2 up to rounding.  Every row comes out bit for bit as if it
+    had been stepped alone.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     state = np.asarray(state, dtype=float)
-    dw = math.sqrt(dt) * np.asarray(noise, dtype=float)
-    raw = state + increment(state, dw)
-    return _repair_simplex(raw)
+    raw = increment(state, math.sqrt(dt) * np.asarray(noise, dtype=float))
+    raw += state
+    return _repair_simplex(raw.reshape(-1, state.shape[-1])).reshape(state.shape)
 
 
 def detect_collapse(state: np.ndarray, delta: float) -> int | None:

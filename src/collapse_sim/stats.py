@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import linregress
 
-from .core import SimParams, derive_seed, derive_stream, noise_sampler
-from .sde import euler_step, run_trajectory
+from .core import SimParams, derive_seed, derive_stream, noise_sampler, validate_state
+from .sde import euler_step
 
 __all__ = [
     "CollapseStats",
@@ -45,6 +45,9 @@ _BLOCK = 256
 
 # Rows with more exceedances than this fraction of m are unfit for fitting.
 _EXCEED_FRACTION = 0.01
+
+# Floats of noise drawn ahead for all live rows of a block together.
+_DRAW_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,89 @@ class FitResult:
             raise ValueError("r_squared out of range")
 
 
+class _BlockNoise:
+    """Per-step noise for the live rows of a block of trajectories.
+
+    The block holds trajectories start .. start + count - 1 of ``seed``.
+    Row i draws from its own stream ``derive_stream(seed, start + i)``,
+    in chunks of several steps through ``draw(stream, (k, n))``, which
+    yields the same numbers as k calls of ``draw(stream, n)``.  A chunk
+    holds at most ``_DRAW_CAP`` floats over all live rows, or one step
+    when a step alone is larger, so it never holds more than the larger
+    of the cap and the block's state.
+    """
+
+    def __init__(self, params: SimParams, seed: int, start: int, count: int, steps: int):
+        self._streams = [derive_stream(seed, start + i) for i in range(count)]
+        self._draw = noise_sampler(params.noise_kind)
+        self._n = params.n_sites
+        self._left = steps
+        self._buf = np.empty((0, 0, self._n))
+        self._pos = 0
+        # Buffer rows of the live rows; None while no row has left since
+        # the last refill, so a step's noise is a view, not a copy.
+        self._slot = None
+
+    def take(self) -> np.ndarray:
+        """C-contiguous (rows, n) noise for the next step of the live rows."""
+        if self._pos == self._buf.shape[0]:
+            self._refill()
+        step = self._buf[self._pos]
+        noise = step if self._slot is None else step[self._slot]
+        self._pos += 1
+        self._left -= 1
+        return noise
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is false; later steps skip them."""
+        self._streams = [s for s, k in zip(self._streams, mask) if k]
+        self._slot = mask.nonzero()[0] if self._slot is None else self._slot[mask]
+
+    def _refill(self) -> None:
+        rows = len(self._streams)
+        k = max(1, min(self._left, _DRAW_CAP // (rows * self._n)))
+        buf = np.empty((k, rows, self._n))
+        for r, stream in enumerate(self._streams):
+            buf[:, r, :] = self._draw(stream, (k, self._n))
+        self._buf = buf
+        self._pos = 0
+        self._slot = None
+
+
 def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse times and winners of trajectories start .. start + count - 1.
+
+    The block's live trajectories are stepped together as the rows of one
+    array; a row leaves as soon as it collapses.  Row i gives the same
+    bits as ``run_trajectory`` on stream (master_seed, start + i).
+    """
     params, start, count, initial = args
-    times = np.empty(count)
-    winners = np.empty(count, dtype=np.int64)
-    for k in range(count):
-        stream = derive_stream(params.master_seed, start + k)
-        result = run_trajectory(params, stream, initial)
-        if result.collapse_time is None:
-            times[k] = np.nan
-            winners[k] = -1
-        else:
-            times[k] = result.collapse_time
-            winners[k] = result.winner
-    return times, winners
+    n = params.n_sites
+    dt = params.dt
+    threshold = 2.0 - params.delta
+    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+    times = np.full(count, np.nan)
+    winners = np.full(count, -1, dtype=np.int64)
+    noise = _BlockNoise(params, params.master_seed, start, count, max_steps)
+    first = np.full(n, 2.0 / n) if initial is None else initial
+    state = np.tile(first, (count, 1))
+    live = np.arange(count)
+
+    k = 0
+    while True:
+        hits = state >= threshold
+        done = hits.any(axis=1)
+        if done.any():
+            times[live[done]] = k * dt
+            winners[live[done]] = hits[done].argmax(axis=1)
+            keep = ~done
+            state = state[keep]
+            live = live[keep]
+            noise.keep(keep)
+        if live.size == 0 or k == max_steps:
+            return times, winners
+        k += 1
+        state = euler_step(state, noise.take(), dt)
 
 
 def run_ensemble(
@@ -153,9 +225,10 @@ def run_ensemble(
         raise ValueError("need at least one realization")
     if workers < 1:
         raise ValueError("workers must be positive")
-    params = replace(params, record_path=False)
     if initial is not None:
-        initial = np.asarray(initial, dtype=float)
+        initial = validate_state(np.array(initial, dtype=float))
+        if initial.size != params.n_sites:
+            raise ValueError("initial state size does not match n_sites")
 
     blocks = [
         (params, start, min(_BLOCK, m - start), initial)
@@ -204,18 +277,20 @@ def scaling_sweep(
     default rule rather than inherited, since a horizon sized for small N
     would truncate large-N runs.
     """
-    n_list = list(n_list)
+    n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     rows = []
     for n in n_list:
         row_params = SimParams(
-            n_sites=int(n),
+            n_sites=n,
             dt=params.dt,
             delta=params.delta,
             t_max=None,
             noise_kind=params.noise_kind,
-            master_seed=derive_seed(params.master_seed, int(n)),
+            master_seed=derive_seed(params.master_seed, n),
         )
         rows.append(run_ensemble(row_params, m, workers=workers))
     return SweepTable(rows=tuple(rows))
@@ -410,25 +485,19 @@ def initial_step_experiment(
         raise ValueError("horizon must cover at least one step")
     if m < 1:
         raise ValueError("need at least one realization")
+    if any(int(n) < 1 for n in n_list):
+        raise ValueError("register sizes must be >= 1")
     dt = params.dt
     steps = int(math.floor(horizon / dt + 1e-9))
     means = np.empty(len(n_list))
     stderrs = np.empty(len(n_list))
     for row, n in enumerate(n_list):
         seed = derive_seed(params.master_seed, int(n))
-        draw = noise_sampler(params.noise_kind)
-        rises = np.empty(m)
-        for i in range(m):
-            stream = derive_stream(seed, i)
-            v = np.full(int(n), 2.0 / int(n))
-            v0 = v[0]
-            best = 0.0
-            for _ in range(steps):
-                v = euler_step(v, draw(stream, int(n)), dt)
-                rise = v[0] - v0
-                if rise > best:
-                    best = rise
-            rises[i] = best
+        row_params = replace(params, n_sites=int(n))
+        rises = np.concatenate([
+            _max_rise(row_params, seed, start, min(_BLOCK, m - start), steps)
+            for start in range(0, m, _BLOCK)
+        ])
         means[row] = rises.mean()
         stderrs[row] = rises.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
     return StepSizeReport(
@@ -438,3 +507,20 @@ def initial_step_experiment(
         mean_rise=means,
         stderr_rise=stderrs,
     )
+
+
+def _max_rise(params: SimParams, seed: int, start: int, count: int, steps: int):
+    """Running maximum of V_1 - V_1(0) over ``steps`` steps, per trajectory.
+
+    Trajectories start .. start + count - 1 of the row seeded ``seed``
+    start uniform and are stepped together as the rows of one array.
+    """
+    noise = _BlockNoise(params, seed, start, count, steps)
+    v0 = 2.0 / params.n_sites
+    state = np.full((count, params.n_sites), v0)
+    best = np.zeros(count)
+    for _ in range(steps):
+        state = euler_step(state, noise.take(), params.dt)
+        rise = state[:, 0] - v0
+        best = np.where(rise > best, rise, best)
+    return best

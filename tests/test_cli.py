@@ -130,6 +130,28 @@ class TestSweep:
     def test_zero_m_rejected(self):
         assert main(["sweep", "--n-list", "4,8,16", "--m", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n-list", "8,4", "--m", "5"],
+            ["--mode", "step", "--m", "0"],
+            ["--mode", "step", "--horizon", "0.01"],
+            ["--mode", "step", "--n-list", "0,4"],
+        ],
+        ids=[
+            "n-list-not-increasing",
+            "step-zero-m",
+            "step-horizon-below-dt",
+            "step-zero-sites",
+        ],
+    )
+    def test_bad_sweep_input_is_a_usage_error(self, argv, capsys):
+        rc = main(["sweep", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_step_mode(self):
         rc = main(
             [

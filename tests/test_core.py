@@ -141,6 +141,22 @@ class TestNoise:
         b = noise_sampler(kind)(derive_stream(9, 4), 64)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n", [1, 3, 7, 16])
+    def test_chunked_draws_equal_step_draws(self, kind, n):
+        # The block engine draws k steps at once; each chunk must hold the
+        # same numbers as k one-step draws, and leave the stream where
+        # they would.  Odd n leaves half of a 64-bit output unused after a
+        # Bernoulli draw, which the stream must keep for the next call.
+        draw = noise_sampler(kind)
+        chunked_rng, step_rng = derive_stream(21, n), derive_stream(21, n)
+        chunks = [1, 3, 7, 2, 5, 1]
+        chunked = np.concatenate([draw(chunked_rng, (k, n)) for k in chunks])
+        steps = np.stack([draw(step_rng, n) for _ in range(sum(chunks))])
+        assert chunked.shape == (sum(chunks), n)
+        assert np.array_equal(chunked, steps)
+        assert np.array_equal(draw(chunked_rng, n), draw(step_rng, n))
+
 
 class TestSeeding:
     def test_reproducible(self):

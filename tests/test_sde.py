@@ -14,7 +14,12 @@ from collapse_sim.sde import (
     run_trajectory,
 )
 
-from reference import random_simplex_state, reference_increment
+from reference import (
+    random_simplex_state,
+    reference_euler_step,
+    reference_increment,
+    reference_increment_1d,
+)
 
 
 class TestIncrement:
@@ -80,6 +85,21 @@ class TestEulerStep:
             routed = euler_step(v, noise, 0.04)[perm]
             assert np.array_equal(direct, routed)
 
+    def test_site_symmetry_exact_rows(self):
+        # The same relabeling of the columns of a (rows, n) state, with
+        # large steps that clamp some rows and not others.
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            rows = int(rng.integers(1, 8))
+            n = int(rng.integers(2, 40))
+            v = np.stack([random_simplex_state(rng, n) for _ in range(rows)])
+            noise = rng.normal(0, 1, (rows, n))
+            dt = float(rng.choice([0.04, 0.3]))
+            perm = rng.permutation(n)
+            direct = euler_step(v[:, perm], noise[:, perm], dt)
+            routed = euler_step(v, noise, dt)[:, perm]
+            assert np.array_equal(direct, routed)
+
     def test_output_valid_after_large_kick(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -114,6 +134,69 @@ class TestEulerStep:
         v = 2.0 * np.asarray(raw) / np.sum(raw)
         out = euler_step(v, np.asarray(noise), 0.04)
         assert abs(out.sum() - 2.0) <= 1e-12
+
+
+def _layout(x, how):
+    """``x`` as a C-ordered, Fortran-ordered or strided (rows, n) array."""
+    if how == "F":
+        return np.asfortranarray(x)
+    if how == "strided":
+        big = np.full((2 * x.shape[0], 3 * x.shape[1]), np.nan)
+        big[::2, 1::3] = x
+        return big[::2, 1::3]
+    return x
+
+
+class TestRowKernel:
+    """The (rows, n) kernel equals the one-vector kernel row by row, bitwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=6),
+        n=st.one_of(st.integers(min_value=1, max_value=20), st.sampled_from([64, 129, 300])),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dt=st.sampled_from([1.0 / 25.0, 0.3, 1.0]),
+        kick=st.sampled_from([1.0, 6.0]),
+        corner=st.booleans(),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_matches_one_vector_kernel(self, rows, n, seed, dt, kick, corner, layout):
+        rng = np.random.default_rng(seed)
+        state = np.stack([random_simplex_state(rng, n) for _ in range(rows)])
+        if corner:
+            state[0] = 0.0
+            state[0, int(rng.integers(n))] = 2.0
+        noise = rng.normal(0.0, kick, (rows, n))
+        expected = np.stack(
+            [reference_euler_step(state[r], noise[r], dt) for r in range(rows)]
+        )
+        out = euler_step(_layout(state, layout), _layout(noise, layout), dt)
+        assert out.shape == (rows, n) and out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+        assert np.array_equal(euler_step(state[0], noise[0], dt), expected[0])
+
+        dw = math.sqrt(dt) * noise
+        inc = increment(_layout(state, layout), _layout(dw, layout))
+        for r in range(rows):
+            assert np.array_equal(inc[r], reference_increment_1d(state[r], dw[r]))
+
+    def test_clamped_and_unclamped_rows_together(self):
+        # At dt = 0.3 full-size kicks clamp and small ones do not; both
+        # kinds of row must come out as if stepped alone.
+        rng = np.random.default_rng(8)
+        state = np.stack([random_simplex_state(rng, 16) for _ in range(64)])
+        noise = rng.normal(0.0, 1.0, (64, 16))
+        noise[::2] *= 0.05
+        raw = state + increment(state, math.sqrt(0.3) * noise)
+        clamped = ((raw < 0.0) | (raw > 2.0)).any(axis=1)
+        assert 0 < clamped.sum() < 64
+        out = euler_step(state, noise, 0.3)
+        for r in range(64):
+            assert np.array_equal(out[r], reference_euler_step(state[r], noise[r], 0.3))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            euler_step(np.ones((2, 3)), np.ones((3, 2)), 0.04)
 
 
 class TestDetectCollapse:

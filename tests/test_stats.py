@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from collapse_sim.core import SimParams, derive_seed, init_weighted
+from collapse_sim.core import NoiseKind, SimParams, derive_seed, init_weighted
 from collapse_sim.stats import (
     BoundCheckReport,
     CollapseStats,
     FitResult,
     SweepTable,
+    _run_block,
     correlation_bound_check,
     fit_lnln,
     initial_step_experiment,
     run_ensemble,
     scaling_sweep,
 )
+
+from reference import reference_ensemble, reference_max_rise, reference_run_block
 
 
 def make_stats(n, mean, stderr=0.01, m=100, exceeded=0):
@@ -96,6 +99,73 @@ class TestRunEnsemble:
             run_ensemble(p, 0)
         with pytest.raises(ValueError):
             run_ensemble(p, 10, workers=0)
+
+
+class TestBlockEngineBitwise:
+    """The block engine against the one-trajectory-at-a-time loop, bitwise."""
+
+    @staticmethod
+    def assert_block_equal(params, start, count, initial=None):
+        got = _run_block((params, start, count, initial))
+        want = reference_run_block((params, start, count, initial))
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1])
+
+    @staticmethod
+    def assert_ensemble_equal(params, m, initial=None, workers=1):
+        st = run_ensemble(params, m, initial=initial, workers=workers)
+        mean, stderr, hist, exceeded = reference_ensemble(params, m, initial)
+        assert np.array_equal(st.mean_time, mean, equal_nan=True)
+        assert np.array_equal(st.stderr_time, stderr, equal_nan=True)
+        assert np.array_equal(st.winner_histogram, hist)
+        assert st.horizon_exceeded == exceeded
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 128])
+    @pytest.mark.parametrize("dt", [0.04, 0.3])
+    def test_blocks(self, kind, n, dt):
+        # dt = 0.3 makes most steps clamp; the block starts mid-stream.
+        params = SimParams(n_sites=n, dt=dt, noise_kind=kind, master_seed=10 * n + 1)
+        self.assert_block_equal(params, 17, 24 if n < 128 else 8)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_horizon_exceedances(self, kind):
+        params = SimParams(n_sites=2, dt=0.04, t_max=0.4, noise_kind=kind, master_seed=3)
+        got = _run_block((params, 0, 60, None))
+        assert np.isnan(got[0]).any() and not np.isnan(got[0]).all()
+        self.assert_block_equal(params, 0, 60)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_weighted_start(self, kind):
+        params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=11)
+        self.assert_ensemble_equal(params, 80, initial=init_weighted([0.1, 0.2, 0.3, 0.4]))
+
+    def test_start_past_threshold(self):
+        # Every trajectory collapses at time 0 with no step taken.
+        params = SimParams(n_sites=3, dt=0.04, master_seed=1)
+        start = np.array([1.995, 0.005, 0.0])
+        self.assert_ensemble_equal(params, 10, initial=start)
+        assert run_ensemble(params, 10, initial=start).mean_time == 0.0
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_two_blocks_and_workers(self, kind):
+        # m = 300 is one block of 256 and one of 44.
+        params = SimParams(n_sites=2, dt=0.04, noise_kind=kind, master_seed=42)
+        self.assert_ensemble_equal(params, 300)
+        self.assert_ensemble_equal(params, 300, workers=2)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_step_experiment(self, kind):
+        # m = 260 spans two blocks; dt = 0.3 forces clamps.
+        for dt, m in ((0.04, 260), (0.3, 20)):
+            params = SimParams(n_sites=2, dt=dt, noise_kind=kind, master_seed=9)
+            rep = initial_step_experiment([2, 7, 16], params, horizon=0.6, m=m)
+            steps = int(math.floor(0.6 / dt + 1e-9))
+            for row, n in enumerate((2, 7, 16)):
+                seed = derive_seed(9, n)
+                rises = reference_max_rise(seed, m, n, kind, dt, steps)
+                assert rep.mean_rise[row] == rises.mean()
+                assert rep.stderr_rise[row] == rises.std(ddof=1) / math.sqrt(m)
 
 
 class TestScalingSweep:
@@ -221,3 +291,7 @@ class TestStepExperiment:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             initial_step_experiment([], SimParams(n_sites=2, dt=0.04), 1.0, 8)
+
+    def test_rejects_empty_register(self):
+        with pytest.raises(ValueError):
+            initial_step_experiment([0, 4], SimParams(n_sites=2, dt=0.04), 1.0, 8)
