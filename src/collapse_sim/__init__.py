@@ -16,7 +16,6 @@ from .core import (
     derive_stream,
     init_uniform,
     init_weighted,
-    sample_noise,
     validate_state,
 )
 from .sde import (
@@ -66,7 +65,6 @@ __all__ = [
     "derive_stream",
     "init_uniform",
     "init_weighted",
-    "sample_noise",
     "validate_state",
     "TrajectoryResult",
     "detect_collapse",

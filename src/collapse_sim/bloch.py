@@ -351,6 +351,8 @@ def twin_deviation(params: SimParams, n_steps: int, stream: np.random.Generator)
     """
     from .sde import euler_step
 
+    if n_steps < 1:
+        raise ValueError("need at least one twin step")
     n = params.n_sites
     v = np.full(n, 2.0 / n)
     state = single_excitation_uniform(n, tau_m=1.0)

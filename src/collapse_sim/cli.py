@@ -1,11 +1,14 @@
 """Command-line front end: config handling, dispatch, file outputs.
 
-Subcommands: trajectory, sweep, bayes, bloch, check.  Settings come from
-an optional JSON config file plus flags; precedence is flags, then the
-subcommand's block in the file, then the file's root keys, then built-in
-defaults.  Root keys mirror the simulation parameter names (n_sites, dt,
-delta, t_max, noise_kind, master_seed, record_path, path_stride), and
-each subcommand reads its own block ("sweep", "bayes", ...) for the rest.
+Subcommands: trajectory, sweep, bayes, bloch, check.  Each option is
+declared once, as a row of ``ROOT_OPTIONS`` (the SimParams fields,
+record_path, path_stride and threads, shared by every subcommand) or of
+its subcommand's ``COMMANDS`` entry; the rows give the flags, the config
+keys, the parsers and the defaults.  Settings come from an optional JSON
+config file plus flags; precedence is flags, then the subcommand's block
+in the file ("sweep", "bayes", ...), then the file's root keys, then the
+row's default.  A config value goes through its flag's parser, so a JSON
+string reads like the flag's text; null leaves a key unset.
 
 Outputs are CSV tables with a header row and LF line endings, plus JSON
 summaries carrying a schema_version field.  Floats are printed with 17
@@ -22,6 +25,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,35 +42,6 @@ from .stats import (
 from .sde import run_trajectory
 
 SCHEMA_VERSION = 1
-
-_ROOT_KEYS = {
-    "n_sites",
-    "dt",
-    "delta",
-    "t_max",
-    "noise_kind",
-    "master_seed",
-    "record_path",
-    "path_stride",
-    "threads",
-}
-_BLOCK_KEYS = {
-    "trajectory": {"index", "output"},
-    "sweep": {"n_list", "m", "mode", "horizon", "n_min", "output", "fit_output"},
-    "bayes": {"weights", "t", "tau_m", "m", "output", "summary_output"},
-    "bloch": {
-        "m",
-        "steps",
-        "energy",
-        "tunneling",
-        "tau_m",
-        "twin",
-        "twin_steps",
-        "output",
-        "summary_output",
-    },
-    "check": {"m", "t_grid", "sigmas", "strict", "output", "summary_output"},
-}
 
 
 class ConfigError(Exception):
@@ -119,20 +95,115 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write(_render_json(obj) + "\n")
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
+# Each parser reads a flag's text or a value of the JSON config file and
+# raises ArgumentTypeError on anything else, so argparse and the config
+# loader accept the same values.  A JSON string is read as flag text.
+
+
+def _integer(value) -> int:
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+
+
+def _count(value) -> int:
+    n = _integer(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {value!r}")
+    return n
+
+
+def _real(value) -> float:
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {value!r}")
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise argparse.ArgumentTypeError(f"not a string: {value!r}")
+
+
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    low = value.strip().lower() if isinstance(value, str) else None
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {value!r}")
 
 
-def _parse_number_list(text: str) -> list[float]:
+def _parse_number_list(value) -> list[float]:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip() != ""]
+    elif not isinstance(value, list):
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {value!r}")
+    return [_real(part) for part in value]
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting, shared by its flag and its config key.
+
+    A callable ``default`` is computed from the settings resolved before
+    it; a default of None leaves the setting unset.
+    """
+
+    name: str
+    parse: Callable[[Any], Any]
+    default: Any
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+def _threads_from_env(settings: dict) -> int:
+    env = os.environ.get("COLLAPSE_SIM_THREADS")
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list: {text!r}") from exc
+        return 1 if env is None else _count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"COLLAPSE_SIM_THREADS: {exc}")
+
+
+ROOT_OPTIONS = (
+    Option("n_sites", _integer, 2, "register size N"),
+    Option("dt", _real, 1.0 / 25.0, "Euler time step"),
+    Option("delta", _real, 1e-2, "collapse threshold: a site wins at V >= 2 - delta"),
+    Option("t_max", _real, None, "time horizon (default: 100 max(1, ln ln N))"),
+    Option("noise_kind", _text, "normal", "per-step noise distribution",
+           tuple(kind.value for kind in NoiseKind)),
+    Option("master_seed", _integer, 0, "master seed of the per-trajectory streams"),
+    Option("record_path", _parse_bool, True, "record the path; trajectory needs true"),
+    Option("path_stride", _count, 1, "record every k-th step of the path"),
+    Option("threads", _count, _threads_from_env,
+           "worker processes (default: COLLAPSE_SIM_THREADS, else 1)"),
+)
+
+
+def _parse_section(values: dict, options, where: str = "") -> dict:
+    """Config values by key, each parsed by its option's row."""
+    rows = {option.name: option for option in options}
+    parsed = {}
+    for key, value in values.items():
+        if key not in rows:
+            raise ConfigError(f"unknown config key: {key!r}{where}")
+        if value is None:
+            continue
+        try:
+            parsed[key] = rows[key].parse(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{key}: {exc}{where}")
+        if rows[key].choices and parsed[key] not in rows[key].choices:
+            raise ConfigError(f"{key}: {value!r} is not one of {rows[key].choices}{where}")
+    return parsed
 
 
 def _load_config(path: str) -> dict:
@@ -145,86 +216,48 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in cfg:
-        if key not in _ROOT_KEYS and key not in _BLOCK_KEYS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        if key in _BLOCK_KEYS:
-            block = cfg[key]
+    root = {key: value for key, value in cfg.items() if key not in COMMANDS}
+    parsed = _parse_section(root, ROOT_OPTIONS)
+    for name, block in cfg.items():
+        if name in COMMANDS:
             if not isinstance(block, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            for sub in block:
-                if sub not in _BLOCK_KEYS[key]:
-                    raise ConfigError(f"unknown key {sub!r} in section {key!r}")
-    return cfg
+                raise ConfigError(f"config section {name!r} must be an object")
+            where = f" in section {name!r}"
+            parsed[name] = _parse_section(block, COMMANDS[name].options, where)
+    return parsed
 
 
-def _setting(name: str, args, block: dict, root: dict, default):
-    """Resolve one option: flag, then block, then root, then default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in block:
-        return block[name]
-    if name in root:
-        return root[name]
-    return default
+def _settings(args, cfg: dict) -> argparse.Namespace:
+    """Each setting of the command: flag, then block, then root, then default."""
+    block = cfg.get(args.command, {})
+    settings: dict = {}
+    for option in ROOT_OPTIONS + COMMANDS[args.command].options:
+        value = getattr(args, option.name)
+        if value is None:
+            value = block.get(option.name, cfg.get(option.name))
+        if value is None:
+            default = option.default
+            value = default(settings) if callable(default) else default
+        settings[option.name] = value
+    return argparse.Namespace(**settings)
 
 
-def _build_params(args, root: dict, *, record_path_default: bool = False) -> SimParams:
-    empty: dict = {}
-    record = _setting("record_path", args, empty, root, record_path_default)
-    try:
-        return SimParams(
-            n_sites=int(_setting("n_sites", args, empty, root, 2)),
-            dt=float(_setting("dt", args, empty, root, 1.0 / 25.0)),
-            delta=float(_setting("delta", args, empty, root, 1e-2)),
-            t_max=_setting("t_max", args, empty, root, None),
-            noise_kind=_setting("noise_kind", args, empty, root, NoiseKind.NORMAL),
-            master_seed=int(_setting("master_seed", args, empty, root, 0)),
-            record_path=bool(record),
-            path_stride=int(_setting("path_stride", args, empty, root, 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _resolve_threads(args, root: dict) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        value = root.get("threads")
-    if value is None:
-        env = os.environ.get("COLLAPSE_SIM_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(f"COLLAPSE_SIM_THREADS is not an integer: {env!r}")
-    if value is None:
-        return 1
-    value = int(value)
-    if value < 1:
-        raise ConfigError("threads must be a positive integer")
-    return value
-
-
-def cmd_trajectory(args, root: dict) -> int:
-    block = root.get("trajectory", {})
-    params = _build_params(args, root, record_path_default=True)
-    if not params.record_path:
+def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
+    if not s.record_path:
         raise ConfigError("the trajectory subcommand requires record_path=true")
-    index = int(_setting("index", args, block, {}, 0))
-    if index < 0:
+    if s.index < 0:
         raise ConfigError("trajectory index must be nonnegative")
-    out = _setting("output", args, block, {}, "trajectory.csv")
 
-    result = run_trajectory(params, derive_stream(params.master_seed, index))
+    result = run_trajectory(
+        params, derive_stream(params.master_seed, s.index), path_stride=s.path_stride
+    )
     header = ["t"] + [f"u_{j + 1}" for j in range(params.n_sites)]
     rows = (
         [t] + list(state - 1.0)
         for t, state in zip(result.path_times, result.path_states)
     )
-    _write_csv(out, header, rows)
-    print(f"wrote {out}")
+    _write_csv(s.output, header, rows)
+    print(f"wrote {s.output}")
     if result.collapse_time is None:
         print("collapse_time=none winner=none")
     else:
@@ -232,32 +265,22 @@ def cmd_trajectory(args, root: dict) -> int:
     return 0
 
 
-def cmd_sweep(args, root: dict, threads: int) -> int:
-    block = root.get("sweep", {})
-    params = _build_params(args, root)
-    mode = str(_setting("mode", args, block, {}, "times"))
-    if mode not in ("times", "step"):
-        raise ConfigError(f"unknown sweep mode: {mode!r}")
-    n_list = _setting("n_list", args, block, {}, [4, 8, 16, 32, 64, 128, 256, 512])
-    n_list = [int(n) for n in n_list]
-    out = _setting("output", args, block, {}, "sweep.csv")
-    fit_out = _setting("fit_output", args, block, {}, "sweep_fit.json")
+def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
+    n_list = [int(n) for n in s.n_list]
 
-    if mode == "step":
-        m = int(_setting("m", args, block, {}, 64))
-        horizon = float(_setting("horizon", args, block, {}, 1.0))
+    if s.mode == "step":
         try:
-            report = initial_step_experiment(n_list, params, horizon=horizon, m=m)
+            report = initial_step_experiment(n_list, params, horizon=s.horizon, m=s.m)
         except ValueError as exc:
             raise ConfigError(str(exc))
         _write_csv(
-            out,
+            s.output,
             ["N", "mean_rise", "stderr", "realizations"],
             zip(report.n_values, report.mean_rise, report.stderr_rise,
                 [report.realizations] * len(n_list)),
         )
         _write_json(
-            fit_out,
+            s.fit_output,
             {
                 "schema_version": SCHEMA_VERSION,
                 "mode": "step",
@@ -265,20 +288,18 @@ def cmd_sweep(args, root: dict, threads: int) -> int:
                 "realizations": report.realizations,
             },
         )
-        print(f"wrote {out}")
-        print(f"wrote {fit_out}")
+        print(f"wrote {s.output}")
+        print(f"wrote {s.fit_output}")
         return 0
 
-    m = int(_setting("m", args, block, {}, 2000))
-    if m < 1:
+    if s.m < 1:
         raise ConfigError("m must be a positive integer")
-    n_min = int(_setting("n_min", args, block, {}, 4))
     try:
-        table = scaling_sweep(n_list, params, m, workers=threads)
+        table = scaling_sweep(n_list, params, s.m, workers=s.threads)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _write_csv(
-        out,
+        s.output,
         ["N", "mean_time", "stderr", "realizations", "exceeded"],
         (
             (r.n_sites, r.mean_time, r.stderr_time, r.realizations, r.horizon_exceeded)
@@ -286,11 +307,11 @@ def cmd_sweep(args, root: dict, threads: int) -> int:
         ),
     )
     try:
-        fit = fit_lnln(table, n_min=n_min)
+        fit = fit_lnln(table, n_min=s.n_min)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _write_json(
-        fit_out,
+        s.fit_output,
         {
             "schema_version": SCHEMA_VERSION,
             "mode": "times",
@@ -299,37 +320,29 @@ def cmd_sweep(args, root: dict, threads: int) -> int:
             "b": fit.b,
             "r_squared": fit.r_squared,
             "slope_stderr": fit.slope_stderr,
-            "n_min": n_min,
+            "n_min": s.n_min,
         },
     )
-    print(f"wrote {out}")
-    print(f"wrote {fit_out}")
+    print(f"wrote {s.output}")
+    print(f"wrote {s.fit_output}")
     return 0
 
 
-def cmd_bayes(args, root: dict) -> int:
-    block = root.get("bayes", {})
-    params = _build_params(args, root)
-    weights = _setting("weights", args, block, {}, None)
-    if weights is None:
+def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
+    if s.weights is None:
         prob = np.full(params.n_sites, 1.0 / params.n_sites)
     else:
-        prob = np.asarray([float(w) for w in weights])
-        if prob.ndim != 1 or prob.size == 0 or np.any(prob < 0) or prob.sum() <= 0:
+        prob = np.asarray(s.weights)
+        if prob.size == 0 or np.any(prob < 0) or prob.sum() <= 0:
             raise ConfigError("weights must be nonnegative with a positive sum")
         prob = prob / prob.sum()
-    t = float(_setting("t", args, block, {}, 5.0))
-    tau_m = float(_setting("tau_m", args, block, {}, 1.0))
-    m = int(_setting("m", args, block, {}, 10000))
-    out = _setting("output", args, block, {}, "bayes.csv")
-    summary_out = _setting("summary_output", args, block, {}, "bayes_summary.json")
 
     try:
-        result = born_frequencies(np.sqrt(prob), t, tau_m, m, params.master_seed)
+        result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _write_csv(
-        out,
+        s.output,
         ["site", "weight", "count", "frequency"],
         (
             (j + 1, prob[j], int(result.counts[j]), result.frequencies[j])
@@ -337,41 +350,37 @@ def cmd_bayes(args, root: dict) -> int:
         ),
     )
     _write_json(
-        summary_out,
+        s.summary_output,
         {
             "schema_version": SCHEMA_VERSION,
-            "m": m,
-            "t": t,
-            "tau_m": tau_m,
+            "m": s.m,
+            "t": s.t,
+            "tau_m": s.tau_m,
             "unresolved": result.unresolved,
         },
     )
-    print(f"wrote {out}")
-    print(f"wrote {summary_out}")
+    print(f"wrote {s.output}")
+    print(f"wrote {s.summary_output}")
     return 0
 
 
-def cmd_bloch(args, root: dict) -> int:
-    block = root.get("bloch", {})
-    params = _build_params(args, root)
-    m = int(_setting("m", args, block, {}, 200))
-    steps = int(_setting("steps", args, block, {}, 200))
-    energy = float(_setting("energy", args, block, {}, 0.0))
-    tunneling = float(_setting("tunneling", args, block, {}, 0.0))
-    tau_m = float(_setting("tau_m", args, block, {}, 1.0))
-    twin = bool(_setting("twin", args, block, {}, False))
-    twin_steps = int(_setting("twin_steps", args, block, {}, 10000))
-    out = _setting("output", args, block, {}, "bloch.csv")
-    summary_out = _setting("summary_output", args, block, {}, "bloch_summary.json")
-
+def cmd_bloch(s: argparse.Namespace, params: SimParams) -> int:
+    if s.twin and (s.energy != 0.0 or s.tunneling != 0.0 or s.tau_m != 1.0):
+        raise ConfigError("the twin comparison requires energy=0, tunneling=0, tau_m=1")
     try:
+        # Both runs come before any file is written; the twin goes first so
+        # that a bad twin input fails before the purity trace is computed.
+        if s.twin:
+            deviation = twin_deviation(
+                params, s.twin_steps, derive_stream(params.master_seed, 0)
+            )
         trace = purity_trace(
-            params, m, steps, energy=energy, tunneling=tunneling, tau_m=tau_m
+            params, s.m, s.steps, energy=s.energy, tunneling=s.tunneling, tau_m=s.tau_m
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
     _write_csv(
-        out,
+        s.output,
         ["t", "mean_purity", "stderr_purity"],
         zip(trace.times, trace.mean_purity, trace.stderr_purity),
     )
@@ -380,47 +389,31 @@ def cmd_bloch(args, root: dict) -> int:
     z = z[np.isfinite(z)]
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "m": m,
-        "steps": steps,
-        "energy": energy,
-        "tunneling": tunneling,
-        "tau_m": tau_m,
+        "m": s.m,
+        "steps": s.steps,
+        "energy": s.energy,
+        "tunneling": s.tunneling,
+        "tau_m": s.tau_m,
         "repairs": trace.repairs,
         "final_mean_purity": float(trace.mean_purity[-1]),
         "max_increment_mismatch_sigmas": float(z.max()) if z.size else 0.0,
     }
-    if twin:
-        if energy != 0.0 or tunneling != 0.0 or tau_m != 1.0:
-            raise ConfigError(
-                "the twin comparison requires energy=0, tunneling=0, tau_m=1"
-            )
-        deviation = twin_deviation(
-            params, twin_steps, derive_stream(params.master_seed, 0)
-        )
-        summary["twin_steps"] = twin_steps
+    if s.twin:
+        summary["twin_steps"] = s.twin_steps
         summary["twin_max_deviation"] = deviation
-    _write_json(summary_out, summary)
-    print(f"wrote {out}")
-    print(f"wrote {summary_out}")
+    _write_json(s.summary_output, summary)
+    print(f"wrote {s.output}")
+    print(f"wrote {s.summary_output}")
     return 0
 
 
-def cmd_check(args, root: dict) -> int:
-    block = root.get("check", {})
-    params = _build_params(args, root)
-    m = int(_setting("m", args, block, {}, 2000))
-    t_grid = _setting("t_grid", args, block, {}, [0.0, 0.5, 1.0, 2.0, 5.0])
-    sigmas = float(_setting("sigmas", args, block, {}, 3.0))
-    strict = bool(_setting("strict", args, block, {}, False))
-    out = _setting("output", args, block, {}, "check.csv")
-    summary_out = _setting("summary_output", args, block, {}, "check_summary.json")
-
+def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
     try:
-        report = correlation_bound_check(params, m, [float(t) for t in t_grid])
+        report = correlation_bound_check(params, s.m, s.t_grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _write_csv(
-        out,
+        s.output,
         [
             "t",
             "mean_pair",
@@ -442,42 +435,85 @@ def cmd_check(args, root: dict) -> int:
             report.margin_max,
         ),
     )
-    ok = report.satisfied(sigmas)
+    ok = report.satisfied(s.sigmas)
     finite = report.margin_max[np.isfinite(report.margin_max)]
     _write_json(
-        summary_out,
+        s.summary_output,
         {
             "schema_version": SCHEMA_VERSION,
             "n_sites": report.n_sites,
             "m": report.realizations,
-            "sigmas": sigmas,
+            "sigmas": s.sigmas,
             "satisfied": ok,
             "min_margin_max": float(finite.min()) if finite.size else None,
         },
     )
-    print(f"wrote {out}")
-    print(f"wrote {summary_out}")
-    if strict and not ok:
+    print(f"wrote {s.output}")
+    print(f"wrote {s.summary_output}")
+    if s.strict and not ok:
         print("bound check failed in strict mode", file=sys.stderr)
         return 3
     return 0
 
 
-def _add_root_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--n-sites", dest="n_sites", type=int)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--t-max", dest="t_max", type=float)
-    sub.add_argument(
-        "--noise-kind",
-        dest="noise_kind",
-        choices=[k.value for k in NoiseKind],
-    )
-    sub.add_argument("--master-seed", dest="master_seed", type=int)
-    sub.add_argument("--record-path", dest="record_path", type=_parse_bool)
-    sub.add_argument("--path-stride", dest="path_stride", type=int)
-    sub.add_argument("--threads", type=int)
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[argparse.Namespace, SimParams], int]
+    help: str
+    options: tuple[Option, ...]
+
+
+COMMANDS = {
+    "trajectory": Command(cmd_trajectory, "integrate and dump one path", (
+        Option("index", _integer, 0, "which derived trajectory to run"),
+        Option("output", _text, "trajectory.csv", "CSV table of the path"),
+    )),
+    "sweep": Command(cmd_sweep, "collapse-time scan over N plus fit", (
+        Option("mode", _text, "times", "times: collapse times and their lnln fit; "
+               "step: early climb of site 1", ("times", "step")),
+        Option("n_list", _parse_number_list, [4, 8, 16, 32, 64, 128, 256, 512],
+               "register sizes, comma-separated"),
+        Option("m", _integer, lambda s: 64 if s["mode"] == "step" else 2000,
+               "realizations per N (default: 2000, or 64 with --mode step)"),
+        Option("horizon", _real, 1.0, "step mode: length of the early window"),
+        Option("n_min", _integer, 4, "smallest N in the fit"),
+        Option("output", _text, "sweep.csv", "CSV table, one row per N"),
+        Option("fit_output", _text, "sweep_fit.json", "JSON summary"),
+    )),
+    "bayes": Command(cmd_bayes, "closed-form outcome frequencies", (
+        Option("weights", _parse_number_list, None,
+               "initial excitation weights, comma-separated (default: uniform)"),
+        Option("t", _real, 5.0, "readout time"),
+        Option("tau_m", _real, 1.0, "measurement time"),
+        Option("m", _integer, 10000, "sampled records"),
+        Option("output", _text, "bayes.csv", "CSV table"),
+        Option("summary_output", _text, "bayes_summary.json", "JSON summary"),
+    )),
+    "bloch": Command(cmd_bloch, "Bloch-vector runs with purity trace", (
+        Option("m", _integer, 200, "trajectories"),
+        Option("steps", _integer, 200, "steps per trajectory"),
+        Option("energy", _real, 0.0, "site energy"),
+        Option("tunneling", _real, 0.0, "tunneling amplitude"),
+        Option("tau_m", _real, 1.0, "measurement time"),
+        Option("twin", _parse_bool, False,
+               "also report twin_max_deviation, the largest gap between the "
+               "occupation and Bloch steppers fed the same noise; it measures "
+               "integrator agreement only while neither stepper repairs its state, "
+               "so use a small --dt (at dt=1/25 boundary repairs dominate it)"),
+        Option("twin_steps", _integer, 10000, "steps of the twin comparison"),
+        Option("output", _text, "bloch.csv", "CSV table"),
+        Option("summary_output", _text, "bloch_summary.json", "JSON summary"),
+    )),
+    "check": Command(cmd_check, "pairwise moment bound verification", (
+        Option("m", _integer, 2000, "trajectories"),
+        Option("t_grid", _parse_number_list, [0.0, 0.5, 1.0, 2.0, 5.0],
+               "times of the check, comma-separated"),
+        Option("sigmas", _real, 3.0, "standard errors of slack in the check"),
+        Option("strict", _parse_bool, False, "exit 3 if the bound check fails"),
+        Option("output", _text, "check.csv", "CSV table"),
+        Option("summary_output", _text, "check_summary.json", "JSON summary"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,79 +522,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collapse dynamics of weakly monitored qubit registers",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_traj = commands.add_parser("trajectory", help="integrate and dump one path")
-    _add_root_flags(p_traj)
-    p_traj.add_argument("--index", type=int, help="which derived trajectory to run")
-    p_traj.add_argument("--output")
-
-    p_sweep = commands.add_parser("sweep", help="collapse-time scan over N plus fit")
-    _add_root_flags(p_sweep)
-    p_sweep.add_argument("--n-list", dest="n_list", type=_parse_number_list)
-    p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--mode", choices=["times", "step"])
-    p_sweep.add_argument("--horizon", type=float)
-    p_sweep.add_argument("--n-min", dest="n_min", type=int)
-    p_sweep.add_argument("--output")
-    p_sweep.add_argument("--fit-output", dest="fit_output")
-
-    p_bayes = commands.add_parser("bayes", help="closed-form outcome frequencies")
-    _add_root_flags(p_bayes)
-    p_bayes.add_argument("--weights", type=_parse_number_list)
-    p_bayes.add_argument("--t", type=float)
-    p_bayes.add_argument("--tau-m", dest="tau_m", type=float)
-    p_bayes.add_argument("--m", type=int)
-    p_bayes.add_argument("--output")
-    p_bayes.add_argument("--summary-output", dest="summary_output")
-
-    p_bloch = commands.add_parser("bloch", help="Bloch-vector runs with purity trace")
-    _add_root_flags(p_bloch)
-    p_bloch.add_argument("--m", type=int)
-    p_bloch.add_argument("--steps", type=int)
-    p_bloch.add_argument("--energy", type=float)
-    p_bloch.add_argument("--tunneling", type=float)
-    p_bloch.add_argument("--tau-m", dest="tau_m", type=float)
-    p_bloch.add_argument(
-        "--twin",
-        type=_parse_bool,
-        help="also report twin_max_deviation, the largest gap between the "
-        "occupation and Bloch steppers fed the same noise; it measures "
-        "integrator agreement only while neither stepper repairs its state, "
-        "so use a small --dt (at dt=1/25 boundary repairs dominate it)",
-    )
-    p_bloch.add_argument("--twin-steps", dest="twin_steps", type=int)
-    p_bloch.add_argument("--output")
-    p_bloch.add_argument("--summary-output", dest="summary_output")
-
-    p_check = commands.add_parser("check", help="pairwise moment bound verification")
-    _add_root_flags(p_check)
-    p_check.add_argument("--m", type=int)
-    p_check.add_argument("--t-grid", dest="t_grid", type=_parse_number_list)
-    p_check.add_argument("--sigmas", type=float)
-    p_check.add_argument("--strict", type=_parse_bool)
-    p_check.add_argument("--output")
-    p_check.add_argument("--summary-output", dest="summary_output")
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON config file")
+        for option in ROOT_OPTIONS + command.options:
+            sub.add_argument(
+                "--" + option.name.replace("_", "-"),
+                dest=option.name,
+                type=option.parse,
+                choices=option.choices,
+                help=(option.help if option.default is None or callable(option.default)
+                      else f"{option.help} (default: {json.dumps(option.default)})"),
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        root = _load_config(args.config) if args.config else {}
-        threads = _resolve_threads(args, root)
-        if args.command == "trajectory":
-            return cmd_trajectory(args, root)
-        if args.command == "sweep":
-            return cmd_sweep(args, root, threads)
-        if args.command == "bayes":
-            return cmd_bayes(args, root)
-        if args.command == "bloch":
-            return cmd_bloch(args, root)
-        if args.command == "check":
-            return cmd_check(args, root)
-        raise ConfigError(f"unknown command {args.command!r}")
+        settings = _settings(args, _load_config(args.config) if args.config else {})
+        sim = {field.name: getattr(settings, field.name) for field in fields(SimParams)}
+        try:
+            params = SimParams(**sim)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        return COMMANDS[args.command].run(settings, params)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

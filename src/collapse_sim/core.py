@@ -32,7 +32,6 @@ __all__ = [
     "init_uniform",
     "init_weighted",
     "noise_sampler",
-    "sample_noise",
     "validate_state",
 ]
 
@@ -72,10 +71,6 @@ class SimParams:
         Distribution of the per-site step noise.
     master_seed : int
         64-bit master seed for stream derivation.
-    record_path : bool
-        Store sampled states along the trajectory.
-    path_stride : int
-        Record every ``path_stride``-th step when recording.
     """
 
     n_sites: int
@@ -84,8 +79,6 @@ class SimParams:
     t_max: float | None = None
     noise_kind: NoiseKind = NoiseKind.NORMAL
     master_seed: int = 0
-    record_path: bool = False
-    path_stride: int = 1
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -99,8 +92,6 @@ class SimParams:
             object.__setattr__(self, "t_max", default_t_max(self.n_sites))
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
-        if self.path_stride < 1:
-            raise ValueError("path_stride must be >= 1")
         if not isinstance(self.master_seed, int):
             raise ValueError("master_seed must be an integer")
 
@@ -170,25 +161,12 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, index)))
 
 
-def sample_noise(kind: NoiseKind, rng: np.random.Generator, size=None):
-    """Draw zero-mean, unit-variance noise of the given kind.
-
-    With ``size=None`` returns a scalar, otherwise an array.  The uniform
-    distribution is supported on ``[-sqrt(3), sqrt(3)]`` and the Bernoulli
-    one on ``{-1, +1}``, both of which have variance one.
-    """
-    kind = NoiseKind(kind)
-    if kind is NoiseKind.NORMAL:
-        x = rng.standard_normal(size)
-    elif kind is NoiseKind.BERNOULLI:
-        x = 2.0 * rng.integers(0, 2, size=size) - 1.0
-    else:
-        x = rng.uniform(-_SQRT3, _SQRT3, size)
-    return float(x) if size is None else x
-
-
 def noise_sampler(kind: NoiseKind):
-    """Vector sampler ``f(rng, n)`` for the hot integration loops."""
+    """Sampler ``f(rng, size)`` of zero-mean, unit-variance noise of a kind.
+
+    The uniform distribution is supported on ``[-sqrt(3), sqrt(3)]`` and
+    the Bernoulli one on ``{-1, +1}``, both of which have variance one.
+    """
     kind = NoiseKind(kind)
     if kind is NoiseKind.NORMAL:
         return lambda rng, n: rng.standard_normal(n)

@@ -193,8 +193,8 @@ class TrajectoryResult:
 
     ``collapse_time`` and ``winner`` are both None when the trajectory ran
     to the time horizon without collapsing, and both set otherwise.
-    ``path_times``/``path_states`` are empty unless path recording was
-    requested in the run parameters.
+    ``path_times``/``path_states`` are empty unless the run was given a
+    ``path_stride``.
     """
 
     collapse_time: float | None
@@ -213,23 +213,29 @@ def run_trajectory(
     params: SimParams,
     stream: np.random.Generator,
     initial: np.ndarray | None = None,
+    *,
+    path_stride: int | None = None,
 ) -> TrajectoryResult:
     """Integrate one realization until collapse or the time horizon.
 
     Parameters
     ----------
     params : SimParams
-        Step size, collapse threshold, horizon, noise family and path
-        recording options.
+        Step size, collapse threshold, horizon and noise family.
     stream : numpy Generator
         Source of noise for this realization.  Callers wanting
         reproducibility should derive it with ``derive_stream``.
     initial : array, optional
         Starting state; defaults to the uniform point 2/n per site.
+    path_stride : int, optional
+        Record the path: the start, every ``path_stride``-th step and the
+        last step.  None records nothing.
 
     The state is checked before the first step, so an initial condition
     already past the threshold reports collapse at time 0 with 0 steps.
     """
+    if path_stride is not None and path_stride < 1:
+        raise ValueError("path_stride must be >= 1")
     n = params.n_sites
     if initial is None:
         state = np.full(n, 2.0 / n)
@@ -244,8 +250,7 @@ def run_trajectory(
     draw = noise_sampler(params.noise_kind)
     max_steps = int(math.floor(params.t_max / dt + 1e-9))
 
-    record = params.record_path
-    stride = params.path_stride
+    record = path_stride is not None
     times: list[float] = []
     states: list[np.ndarray] = []
     if record:
@@ -270,7 +275,7 @@ def run_trajectory(
         steps = k
         winner = detect_collapse(state, delta)
         done = winner is not None
-        if record and (k % stride == 0 or done or k == max_steps):
+        if record and (k % path_stride == 0 or done or k == max_steps):
             times.append(k * dt)
             states.append(state.copy())
         if done:

@@ -203,6 +203,12 @@ class TestTwin:
         dev = twin_deviation(params, 500, derive_stream(6, 0))
         assert dev <= 1e-11
 
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_twin_deviation_rejects_no_steps(self, n_steps):
+        params = SimParams(n_sites=4, dt=1e-3)
+        with pytest.raises(ValueError):
+            twin_deviation(params, n_steps, derive_stream(6, 0))
+
 
 class TestPurityTrace:
     def test_shapes_and_determinism(self):

@@ -248,6 +248,19 @@ class TestBloch:
         assert rc == 2
         assert "twin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--twin-steps", "-3"], ["--twin-steps", "0"], ["--energy", "0.5"]],
+        ids=["negative-steps", "zero-steps", "energy"],
+    )
+    def test_bad_twin_input_writes_nothing(self, extra, capsys):
+        rc = main(self.ARGS + ["--twin", "true", *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert not Path("bloch.csv").exists()
+        assert not Path("bloch_summary.json").exists()
+
 
 class TestCheck:
     ARGS = [
@@ -341,6 +354,72 @@ class TestConfig:
 
     def test_bad_param_value(self):
         assert main(["trajectory", "--dt", "-0.1"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("check", {"check": {"m": "abc"}}, "m"),
+            ("sweep", {"sweep": {"n_list": 5}}, "n_list"),
+            ("bayes", {"bayes": {"weights": 3}}, "weights"),
+            ("sweep", {"threads": "two"}, "threads"),
+            ("check", {"check": {"m": 20.9}}, "m"),
+            ("check", {"check": {"strict": "maybe"}}, "strict"),
+            ("check", {"check": {"strict": 1}}, "strict"),
+            ("trajectory", {"noise_kind": "gaussian"}, "noise_kind"),
+            ("trajectory", {"trajectory": {"output": 5}}, "output"),
+        ],
+        ids=[
+            "m-text",
+            "n-list-number",
+            "weights-number",
+            "threads-text",
+            "m-fraction",
+            "strict-word",
+            "strict-number",
+            "noise-kind-choice",
+            "output-number",
+        ],
+    )
+    def test_value_of_wrong_type_is_a_usage_error(
+        self, tmp_path, capsys, command, cfg, key
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {key}: ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_string_value_reads_like_flag_text(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_max": "10", "dt": "0.04", "master_seed": 3}))
+        assert main(["trajectory", "--config", str(path), "--output", "cfg.csv"]) == 0
+        argv = ["trajectory", "--t-max", "10", "--dt", "0.04", "--master-seed", "3"]
+        assert main(argv + ["--output", "flags.csv"]) == 0
+        assert read("cfg.csv") == read("flags.csv")
+
+    def test_false_strings_are_false(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"check": {"strict": "false"}}))
+        assert main(TestCheck.ARGS + ["--sigmas", "-1000", "--config", str(path)]) == 0
+
+        path.write_text(json.dumps({"bloch": {"twin": "off"}}))
+        assert main(TestBloch.ARGS + ["--config", str(path)]) == 0
+        assert "twin_steps" not in json.loads(read("bloch_summary.json"))
+
+        path.write_text(json.dumps({"record_path": "false"}))
+        assert main(["trajectory", "--config", str(path)]) == 2
+        assert "record_path" in capsys.readouterr().err
+
+    def test_null_leaves_key_unset(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg = {"t_max": None, "bayes": {"weights": None, "tau_m": None, "m": 50}}
+        path.write_text(json.dumps(cfg))
+        assert main(["bayes", "--n-sites", "3", "--config", str(path)]) == 0
+        rows = read("bayes.csv").decode().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == pytest.approx([1 / 3] * 3)
+        assert json.loads(read("bayes_summary.json"))["tau_m"] == 1.0
 
 
 SUBCOMMANDS = ("trajectory", "sweep", "bayes", "bloch", "check")

@@ -14,7 +14,6 @@ from collapse_sim.core import (
     init_uniform,
     init_weighted,
     noise_sampler,
-    sample_noise,
     validate_state,
 )
 
@@ -44,7 +43,7 @@ class TestSimParams:
             dict(n_sites=2, delta=0.0),
             dict(n_sites=2, delta=1.0),
             dict(n_sites=2, t_max=0.01, dt=0.04),
-            dict(n_sites=2, path_stride=0),
+            dict(n_sites=2, master_seed=1.5),
             dict(n_sites=2, noise_kind="triangular"),
         ],
     )
@@ -105,41 +104,30 @@ class TestStateHelpers:
 class TestNoise:
     def test_bernoulli_support(self):
         rng = derive_stream(7, 0)
-        draws = sample_noise(NoiseKind.BERNOULLI, rng, size=10_000)
+        draws = noise_sampler(NoiseKind.BERNOULLI)(rng, 10_000)
         assert set(np.unique(draws)) == {-1.0, 1.0}
 
     def test_uniform_support_and_variance(self):
         rng = derive_stream(7, 1)
-        draws = sample_noise(NoiseKind.UNIFORM, rng, size=1_000_000)
+        draws = noise_sampler(NoiseKind.UNIFORM)(rng, 1_000_000)
         root3 = math.sqrt(3.0)
         assert draws.min() >= -root3 and draws.max() <= root3
         assert abs(draws.var() - 1.0) < 0.01
 
     def test_normal_mean(self):
         rng = derive_stream(7, 2)
-        draws = sample_noise(NoiseKind.NORMAL, rng, size=1_000_000)
+        draws = noise_sampler(NoiseKind.NORMAL)(rng, 1_000_000)
         assert abs(draws.mean()) < 0.004
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_unit_moments_all_kinds(self, kind):
         rng = derive_stream(11, hash(kind) % 100)
         m = 200_000
-        draws = sample_noise(kind, rng, size=m)
+        draws = noise_sampler(kind)(rng, m)
         # 5 CLT standard errors for the mean and the variance estimate
         assert abs(draws.mean()) < 5.0 / math.sqrt(m)
         kurt_term = np.mean(draws**4) - draws.var() ** 2
         assert abs(draws.var() - 1.0) < 5.0 * math.sqrt(max(kurt_term, 1e-12) / m)
-
-    def test_scalar_draw(self):
-        rng = derive_stream(3, 0)
-        val = sample_noise(NoiseKind.NORMAL, rng)
-        assert isinstance(val, float)
-
-    @pytest.mark.parametrize("kind", list(NoiseKind))
-    def test_sampler_matches_sample_noise(self, kind):
-        a = sample_noise(kind, derive_stream(9, 4), size=64)
-        b = noise_sampler(kind)(derive_stream(9, 4), 64)
-        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("n", [1, 3, 7, 16])

@@ -254,10 +254,8 @@ class TestRunTrajectory:
         assert r.collapse_time == pytest.approx(r.steps_taken * params.dt)
 
     def test_path_recording(self):
-        params = SimParams(
-            n_sites=4, dt=0.02, master_seed=12, record_path=True, path_stride=5
-        )
-        r = run_trajectory(params, derive_stream(12, 0))
+        params = SimParams(n_sites=4, dt=0.02, master_seed=12)
+        r = run_trajectory(params, derive_stream(12, 0), path_stride=5)
         assert r.path_times[0] == 0.0
         assert r.path_times[-1] == pytest.approx(r.collapse_time)
         assert r.path_states.shape == (r.path_times.size, 4)
@@ -268,12 +266,20 @@ class TestRunTrajectory:
         assert all(s % 5 == 0 for s in steps[1:-1])
 
     def test_norm_conserved_along_path(self):
-        params = SimParams(
-            n_sites=16, dt=0.04, delta=1e-6, t_max=40.0, record_path=True
-        )
-        r = run_trajectory(params, derive_stream(31, 4))
+        params = SimParams(n_sites=16, dt=0.04, delta=1e-6, t_max=40.0)
+        r = run_trajectory(params, derive_stream(31, 4), path_stride=1)
         sums = r.path_states.sum(axis=1)
         assert np.max(np.abs(sums - 2.0)) <= 1e-12
+
+    def test_path_stride_none_records_nothing_and_below_one_is_rejected(self):
+        params = SimParams(n_sites=4, dt=0.02, master_seed=12)
+        plain = run_trajectory(params, derive_stream(12, 0))
+        recorded = run_trajectory(params, derive_stream(12, 0), path_stride=5)
+        assert plain.path_times.size == 0 and plain.path_states.shape == (0, 4)
+        assert plain.collapse_time == recorded.collapse_time
+        assert np.array_equal(plain.final_state, recorded.final_state)
+        with pytest.raises(ValueError, match="path_stride"):
+            run_trajectory(params, derive_stream(12, 0), path_stride=0)
 
     def test_initial_validation(self):
         params = SimParams(n_sites=3, dt=0.04)
