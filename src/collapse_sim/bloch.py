@@ -25,6 +25,13 @@ Monitoring purifies the conditioned reduced states: P_j = x^2 + y^2 + z^2
 grows on average by the amount expected_purity_increment returns.  A
 finite Euler step can push P_j slightly past 1; such a qubit is projected
 radially back onto the unit sphere and the event counted in `repairs`.
+
+The update rule lives in one row-wise kernel, which steps many registers
+at once as the rows of C-contiguous (rows, N) arrays x, y and z and
+counts the repairs of each row.  step_bloch is its one-row caller.
+purity_trace steps blocks of trajectories together through
+`stats._drive_block`, and evaluates the predicted increments of all rows
+and sites at once.  Every row gives the same bits as stepping that register alone.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, derive_stream, noise_sampler
+from .core import SimParams, noise_sampler
+from .stats import _BLOCK, _drive_block
 
 __all__ = [
     "BlochEnsemble",
@@ -146,6 +154,48 @@ def correlation_zz(state: BlochEnsemble | np.ndarray, i: int, j: int) -> float:
     return float(-z[i] - z[j] - 1.0)
 
 
+def _step_rows(x, y, z, noise, dt, energy, tunneling, tau_m):
+    """One Euler step of many registers, one per row of (rows, N) arrays.
+
+    x, y, z and noise are taken as C-contiguous float arrays.  Returns the
+    stepped x, y and z and the number of qubits repaired in each row.
+    Each row comes out bit for bit as it would alone: its dot products
+    run as the same contiguous vector dot products, and everything else
+    is elementwise.
+    """
+    x, y, z, noise = (np.ascontiguousarray(a, dtype=float) for a in (x, y, z, noise))
+    dw = math.sqrt(dt) * noise
+    root_tau = math.sqrt(tau_m)
+
+    # (1 - z_j^2) dW_j - (1 + z_j) sum_{i != j} (1 + z_i) dW_i, grouped so
+    # the cross sum costs O(N) instead of O(N^2).
+    v = 1.0 + z
+    s = _row_dots(v, dw)[:, None]
+    diffusion = (1.0 - z * z) * dw - v * (s - v * dw)
+    z_new = z + tunneling * y * dt + diffusion / root_tau
+
+    b = (_row_dots(z, dw) / root_tau)[:, None]
+    decay = dt / (2.0 * tau_m)
+    x_new = x - energy * y * dt - x * decay - x * b
+    y_new = y + energy * x * dt - tunneling * z * dt - y * decay - y * b
+
+    p = x_new * x_new + y_new * y_new + z_new * z_new
+    over = p > 1.0
+    if over.any():
+        scale = 1.0 / np.sqrt(p[over])
+        x_new[over] *= scale
+        y_new[over] *= scale
+        z_new[over] *= scale
+    return x_new, y_new, z_new, np.count_nonzero(over, axis=1)
+
+
+def _row_dots(a, b):
+    # A stack of (1, N) @ (N, 1) products is computed as one vector dot
+    # product per row, which has the bits of np.dot on that row alone;
+    # elementwise products summed along the rows would group differently.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def step_bloch(state: BlochEnsemble, noise: np.ndarray, dt: float) -> BlochEnsemble:
     """One Euler step of all 3N coordinates for one noise vector.
 
@@ -159,44 +209,18 @@ def step_bloch(state: BlochEnsemble, noise: np.ndarray, dt: float) -> BlochEnsem
     noise = np.asarray(noise, dtype=float)
     if noise.shape != state.z.shape:
         raise ValueError("noise length must match the number of qubits")
-    dw = math.sqrt(dt) * noise
-    root_tau = math.sqrt(state.tau_m)
-
-    # (1 - z_j^2) dW_j - (1 + z_j) sum_{i != j} (1 + z_i) dW_i, grouped so
-    # the cross sum costs O(N) instead of O(N^2).
-    v = 1.0 + state.z
-    s = float(np.dot(v, dw))
-    diffusion = (1.0 - state.z * state.z) * dw - v * (s - v * dw)
-    z = state.z + state.tunneling * state.y * dt + diffusion / root_tau
-
-    b = float(np.dot(state.z, dw)) / root_tau
-    decay = dt / (2.0 * state.tau_m)
-    x = state.x - state.energy * state.y * dt - state.x * decay - state.x * b
-    y = (
-        state.y
-        + state.energy * state.x * dt
-        - state.tunneling * state.z * dt
-        - state.y * decay
-        - state.y * b
+    x, y, z, repaired = _step_rows(
+        state.x[None], state.y[None], state.z[None], noise[None],
+        dt, state.energy, state.tunneling, state.tau_m,
     )
-
-    p = x * x + y * y + z * z
-    over = p > 1.0
-    n_repaired = int(np.count_nonzero(over))
-    if n_repaired:
-        scale = 1.0 / np.sqrt(p[over])
-        x[over] *= scale
-        y[over] *= scale
-        z[over] *= scale
-
     return BlochEnsemble(
-        x,
-        y,
-        z,
+        x[0],
+        y[0],
+        z[0],
         energy=state.energy,
         tunneling=state.tunneling,
         tau_m=state.tau_m,
-        repairs=state.repairs + n_repaired,
+        repairs=state.repairs + int(repaired[0]),
     )
 
 
@@ -222,16 +246,37 @@ def expected_purity_increment(state: BlochEnsemble, j: int, dt: float) -> float:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    z = state.z
-    zj = float(z[j])
-    pj = purity(state, j)
-    vsq = (1.0 + z) ** 2
-    zsq = z * z
-    s_v = float(vsq.sum()) - (1.0 + zj) ** 2
-    s_z = float(zsq.sum()) - zj * zj
-    bracket = (1.0 - pj) * (1.0 - zj * zj) + (1.0 + zj) ** 2 * s_v + (pj - zj * zj) * s_z
+    rows = _increments(state.x[None], state.y[None], state.z[None], dt, state.tau_m)
+    return float(rows[0, j])
+
+
+# libm pow, one entry at a time.  Squaring a float scalar with ** goes
+# through it, and it can differ from the x * x that ** 2 on an array
+# computes in the last bit.
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_square(a):
+    return _pow(a, 2.0).astype(float)
+
+
+def _increments(x, y, z, dt, tau_m):
+    """expected_purity_increment of every qubit of (rows, N) arrays.
+
+    Each entry has the bits of the scalar formula evaluated with float
+    arithmetic on that qubit of its row alone.
+    """
+    z = np.ascontiguousarray(z, dtype=float)
+    zz = z * z
+    pj = _libm_square(x) + _libm_square(y) + _libm_square(z)
+    v = 1.0 + z
+    w = _libm_square(v)
+    s_v = (v * v).sum(axis=1)[:, None] - w
+    s_z = zz.sum(axis=1)[:, None] - zz
+    bracket = (1.0 - pj) * (1.0 - zz) + w * s_v + (pj - zz) * s_z
+    inc = bracket * dt / tau_m
     # pj - zj^2 can land a few ulp below zero when x = y = 0
-    return max(bracket * dt / state.tau_m, 0.0)
+    return np.where(0.0 > inc, 0.0, inc)
 
 
 def single_excitation_defect(state: BlochEnsemble) -> float:
@@ -289,37 +334,47 @@ def purity_trace(
         params.n_sites, energy, tunneling, tau_m
     )
     n = template.n_sites
-    draw = noise_sampler(params.noise_kind)
     dt = params.dt
+    first = np.stack((template.x, template.y, template.z))
 
     p_sum = np.zeros(n_steps + 1)
     p_sumsq = np.zeros(n_steps + 1)
     d_sum = np.zeros(n_steps)
     d_sumsq = np.zeros(n_steps)
     q_sum = np.zeros(n_steps)
-    total_repairs = 0
+    total_repairs = m * template.repairs
 
-    for idx in range(m):
-        stream = derive_stream(params.master_seed, idx)
-        state = template
-        p_now = float(purity_vector(state).mean())
-        p_sum[0] += p_now
-        p_sumsq[0] += p_now * p_now
-        for k in range(n_steps):
-            predicted = sum(
-                expected_purity_increment(state, j, dt) for j in range(n)
-            ) / n
-            state = step_bloch(state, draw(stream, n), dt)
-            p_next = float(purity_vector(state).mean())
-            observed = p_next - p_now
-            diff = observed - predicted
-            p_sum[k + 1] += p_next
-            p_sumsq[k + 1] += p_next * p_next
-            d_sum[k] += diff
-            d_sumsq[k] += diff * diff
-            q_sum[k] += predicted
-            p_now = p_next
-        total_repairs += state.repairs
+    def step(xyz, noise, dt):
+        nonlocal total_repairs
+        x, y, z, repaired = _step_rows(
+            *xyz, noise, dt, template.energy, template.tunneling, template.tau_m
+        )
+        total_repairs += int(repaired.sum())
+        return np.stack((x, y, z))
+
+    for start in range(0, m, _BLOCK):
+        count = min(_BLOCK, m - start)
+        # Site-mean purity after k steps and predicted gain of step k + 1.
+        p = np.empty((count, n_steps + 1))
+        q = np.empty((count, n_steps))
+
+        def observe(k, xyz, live):
+            x, y, z = xyz
+            p[:, k] = (x**2 + y**2 + z**2).mean(axis=1)
+            if k < n_steps:
+                inc = _increments(x, y, z, dt, template.tau_m)
+                q[:, k] = [sum(row) / n for row in inc.tolist()]
+
+        _drive_block(params, params.master_seed, start, count, n_steps,
+                     np.repeat(first[:, None, :], count, axis=1), step, observe)
+        # Trajectories enter the sums one at a time, in index order.
+        for p_row, q_row in zip(p, q):
+            diff = (p_row[1:] - p_row[:-1]) - q_row
+            p_sum += p_row
+            p_sumsq += p_row * p_row
+            d_sum += diff
+            d_sumsq += diff * diff
+            q_sum += q_row
 
     times = dt * np.arange(n_steps + 1)
     mean_p = p_sum / m

@@ -269,10 +269,7 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
     n_list = [int(n) for n in s.n_list]
 
     if s.mode == "step":
-        try:
-            report = initial_step_experiment(n_list, params, horizon=s.horizon, m=s.m)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        report = initial_step_experiment(n_list, params, horizon=s.horizon, m=s.m)
         _write_csv(
             s.output,
             ["N", "mean_rise", "stderr", "realizations"],
@@ -294,10 +291,7 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
 
     if s.m < 1:
         raise ConfigError("m must be a positive integer")
-    try:
-        table = scaling_sweep(n_list, params, s.m, workers=s.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    table = scaling_sweep(n_list, params, s.m, workers=s.threads)
     _write_csv(
         s.output,
         ["N", "mean_time", "stderr", "realizations", "exceeded"],
@@ -306,10 +300,7 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
             for r in table.rows
         ),
     )
-    try:
-        fit = fit_lnln(table, n_min=s.n_min)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    fit = fit_lnln(table, n_min=s.n_min)
     _write_json(
         s.fit_output,
         {
@@ -337,10 +328,7 @@ def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
             raise ConfigError("weights must be nonnegative with a positive sum")
         prob = prob / prob.sum()
 
-    try:
-        result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
     _write_csv(
         s.output,
         ["site", "weight", "count", "frequency"],
@@ -367,18 +355,15 @@ def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
 def cmd_bloch(s: argparse.Namespace, params: SimParams) -> int:
     if s.twin and (s.energy != 0.0 or s.tunneling != 0.0 or s.tau_m != 1.0):
         raise ConfigError("the twin comparison requires energy=0, tunneling=0, tau_m=1")
-    try:
-        # Both runs come before any file is written; the twin goes first so
-        # that a bad twin input fails before the purity trace is computed.
-        if s.twin:
-            deviation = twin_deviation(
-                params, s.twin_steps, derive_stream(params.master_seed, 0)
-            )
-        trace = purity_trace(
-            params, s.m, s.steps, energy=s.energy, tunneling=s.tunneling, tau_m=s.tau_m
+    # Both runs come before any file is written; the twin goes first so
+    # that a bad twin input fails before the purity trace is computed.
+    if s.twin:
+        deviation = twin_deviation(
+            params, s.twin_steps, derive_stream(params.master_seed, 0)
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    trace = purity_trace(
+        params, s.m, s.steps, energy=s.energy, tunneling=s.tunneling, tau_m=s.tau_m
+    )
     _write_csv(
         s.output,
         ["t", "mean_purity", "stderr_purity"],
@@ -408,10 +393,7 @@ def cmd_bloch(s: argparse.Namespace, params: SimParams) -> int:
 
 
 def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
-    try:
-        report = correlation_bound_check(params, s.m, s.t_grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = correlation_bound_check(params, s.m, s.t_grid)
     _write_csv(
         s.output,
         [
@@ -542,12 +524,9 @@ def main(argv=None) -> int:
     try:
         settings = _settings(args, _load_config(args.config) if args.config else {})
         sim = {field.name: getattr(settings, field.name) for field in fields(SimParams)}
-        try:
-            params = SimParams(**sim)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        return COMMANDS[args.command].run(settings, params)
-    except ConfigError as exc:
+        # The library rejects bad settings with ValueError.
+        return COMMANDS[args.command].run(settings, SimParams(**sim))
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,6 +90,8 @@ class SimParams:
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))
         if self.t_max is None:
             object.__setattr__(self, "t_max", default_t_max(self.n_sites))
+        if not math.isfinite(self.t_max):
+            raise ValueError("t_max must be finite")
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
         if not isinstance(self.master_seed, int):

@@ -135,10 +135,10 @@ class _BlockNoise:
     of the cap and the block's state.
     """
 
-    def __init__(self, params: SimParams, seed: int, start: int, count: int, steps: int):
+    def __init__(self, kind, n: int, seed: int, start: int, count: int, steps: int):
         self._streams = [derive_stream(seed, start + i) for i in range(count)]
-        self._draw = noise_sampler(params.noise_kind)
-        self._n = params.n_sites
+        self._draw = noise_sampler(kind)
+        self._n = n
         self._left = steps
         self._buf = np.empty((0, 0, self._n))
         self._pos = 0
@@ -172,40 +172,61 @@ class _BlockNoise:
         self._slot = None
 
 
+def _drive_block(params: SimParams, seed: int, start: int, count: int, steps: int,
+                 state: np.ndarray, step, observe) -> None:
+    """Step trajectories start .. start + count - 1 of ``seed`` together.
+
+    ``state`` holds their starting states, one per row along its
+    second-to-last axis, with the sites along the last.  Row i draws its
+    noise from ``derive_stream(seed, start + i)``, and
+    ``step(state, noise, dt)`` advances all live rows by one step.  Before
+    the first step and after each one, ``observe(k, state, live)`` sees
+    the state after k steps; ``live`` holds the rows' indices in the
+    block.  It is also the stop rule: it returns a mask of the rows that
+    go on, or None to keep them all.  The block ends after ``steps`` steps
+    or once no row is left.
+    """
+    noise = _BlockNoise(params.noise_kind, state.shape[-1], seed, start, count, steps)
+    live = np.arange(count)
+    k = 0
+    while True:
+        keep = observe(k, state, live)
+        if keep is not None:
+            state = state[..., keep, :]
+            live = live[keep]
+            noise.keep(keep)
+        if live.size == 0 or k == steps:
+            return
+        k += 1
+        state = step(state, noise.take(), params.dt)
+
+
 def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Collapse times and winners of trajectories start .. start + count - 1.
 
-    The block's live trajectories are stepped together as the rows of one
-    array; a row leaves as soon as it collapses.  Row i gives the same
+    A row leaves the block as soon as it collapses.  Row i gives the same
     bits as ``run_trajectory`` on stream (master_seed, start + i).
     """
     params, start, count, initial = args
     n = params.n_sites
-    dt = params.dt
     threshold = 2.0 - params.delta
-    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+    max_steps = int(math.floor(params.t_max / params.dt + 1e-9))
     times = np.full(count, np.nan)
     winners = np.full(count, -1, dtype=np.int64)
-    noise = _BlockNoise(params, params.master_seed, start, count, max_steps)
-    first = np.full(n, 2.0 / n) if initial is None else initial
-    state = np.tile(first, (count, 1))
-    live = np.arange(count)
 
-    k = 0
-    while True:
+    def collapse(k, state, live):
         hits = state >= threshold
         done = hits.any(axis=1)
-        if done.any():
-            times[live[done]] = k * dt
-            winners[live[done]] = hits[done].argmax(axis=1)
-            keep = ~done
-            state = state[keep]
-            live = live[keep]
-            noise.keep(keep)
-        if live.size == 0 or k == max_steps:
-            return times, winners
-        k += 1
-        state = euler_step(state, noise.take(), dt)
+        if not done.any():
+            return None
+        times[live[done]] = k * params.dt
+        winners[live[done]] = hits[done].argmax(axis=1)
+        return ~done
+
+    first = np.full(n, 2.0 / n) if initial is None else initial
+    _drive_block(params, params.master_seed, start, count, max_steps,
+                 np.tile(first, (count, 1)), euler_step, collapse)
+    return times, winners
 
 
 def run_ensemble(
@@ -366,6 +387,8 @@ def correlation_bound_check(
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("grid times must be finite")
     if t_grid[0] < 0.0:
         raise ValueError("grid times must be nonnegative")
     n = params.n_sites
@@ -375,7 +398,6 @@ def correlation_bound_check(
     steps_at = np.array([int(round(t / dt)) for t in t_grid])
     grid_times = steps_at * dt
     total_steps = int(steps_at.max())
-    draw = noise_sampler(params.noise_kind)
     n_pairs = n * (n - 1) / 2.0
 
     g = t_grid.size
@@ -384,22 +406,24 @@ def correlation_bound_check(
     # Per-pair running sums for locating the worst pair at each time.
     sum_outer = np.zeros((g, n, n))
     sumsq_outer = np.zeros((g, n, n))
+    step_to_slot = {int(s): idx for idx, s in enumerate(steps_at)}
 
-    for i in range(m):
-        stream = derive_stream(params.master_seed, i)
-        v = np.full(n, 2.0 / n)
-        step_to_slot = {int(s): idx for idx, s in enumerate(steps_at)}
-        if 0 in step_to_slot:
-            _record_pair_stats(
-                v, step_to_slot[0], sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
-            )
-        for k in range(1, total_steps + 1):
-            v = euler_step(v, draw(stream, n), dt)
-            slot = step_to_slot.get(k)
-            if slot is not None:
+    def record(k, state, live):
+        # Blocks run in index order and no row leaves, so every slot adds
+        # its trajectories one at a time in index order, as a loop over
+        # trajectories would.
+        slot = step_to_slot.get(k)
+        if slot is not None:
+            for v in state:
                 _record_pair_stats(
                     v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
                 )
+
+    uniform = np.full(n, 2.0 / n)
+    for start in range(0, m, _BLOCK):
+        count = min(_BLOCK, m - start)
+        _drive_block(params, params.master_seed, start, count, total_steps,
+                     np.tile(uniform, (count, 1)), euler_step, record)
 
     mean_pair = sum_mean / m
     var_mean = np.maximum(sumsq_mean / m - mean_pair**2, 0.0)
@@ -515,12 +539,13 @@ def _max_rise(params: SimParams, seed: int, start: int, count: int, steps: int):
     Trajectories start .. start + count - 1 of the row seeded ``seed``
     start uniform and are stepped together as the rows of one array.
     """
-    noise = _BlockNoise(params, seed, start, count, steps)
     v0 = 2.0 / params.n_sites
-    state = np.full((count, params.n_sites), v0)
     best = np.zeros(count)
-    for _ in range(steps):
-        state = euler_step(state, noise.take(), params.dt)
-        rise = state[:, 0] - v0
-        best = np.where(rise > best, rise, best)
+
+    def rise(k, state, live):
+        up = state[:, 0] - v0
+        np.copyto(best, up, where=up > best)
+
+    _drive_block(params, seed, start, count, steps,
+                 np.full((count, params.n_sites), v0), euler_step, rise)
     return best

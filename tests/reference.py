@@ -2,16 +2,17 @@
 
 The first group evaluates the update rules literally, with explicit double
 loops and no algebraic grouping, so agreement with the production code
-checks the grouped forms rather than re-running them.  The second group
-keeps the one-vector Euler kernel and the one-trajectory-at-a-time loops
-exactly as they were before the block engine, as the bitwise reference
-for it.
+checks the grouped forms rather than re-running them.  The other groups
+keep the one-vector Euler kernel, the one-register Bloch step and the
+one-trajectory-at-a-time loops exactly as they were before they stepped
+rows together, as the bitwise reference for the row-wise code.
 """
 
 import math
 
 import numpy as np
 
+from collapse_sim.bloch import BlochEnsemble, single_excitation_uniform
 from collapse_sim.core import derive_stream, noise_sampler
 
 
@@ -190,3 +191,239 @@ def reference_max_rise(seed, count, n, kind, dt, steps):
                 best = rise
         rises[i] = best
     return rises
+
+
+# ---------------------------------------------------------------------------
+# The one-trajectory-at-a-time Bloch stepper, purity trace and pair-moment
+# check, kept verbatim from before they stepped rows together (apart from
+# the names, and the one-vector Euler kernel above in place of the row-wise
+# one).  The row-wise code must reproduce them bit for bit.
+
+
+def reference_step_bloch(state, noise, dt):
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != state.z.shape:
+        raise ValueError("noise length must match the number of qubits")
+    dw = math.sqrt(dt) * noise
+    root_tau = math.sqrt(state.tau_m)
+
+    # (1 - z_j^2) dW_j - (1 + z_j) sum_{i != j} (1 + z_i) dW_i, grouped so
+    # the cross sum costs O(N) instead of O(N^2).
+    v = 1.0 + state.z
+    s = float(np.dot(v, dw))
+    diffusion = (1.0 - state.z * state.z) * dw - v * (s - v * dw)
+    z = state.z + state.tunneling * state.y * dt + diffusion / root_tau
+
+    b = float(np.dot(state.z, dw)) / root_tau
+    decay = dt / (2.0 * state.tau_m)
+    x = state.x - state.energy * state.y * dt - state.x * decay - state.x * b
+    y = (
+        state.y
+        + state.energy * state.x * dt
+        - state.tunneling * state.z * dt
+        - state.y * decay
+        - state.y * b
+    )
+
+    p = x * x + y * y + z * z
+    over = p > 1.0
+    n_repaired = int(np.count_nonzero(over))
+    if n_repaired:
+        scale = 1.0 / np.sqrt(p[over])
+        x[over] *= scale
+        y[over] *= scale
+        z[over] *= scale
+
+    return BlochEnsemble(
+        x,
+        y,
+        z,
+        energy=state.energy,
+        tunneling=state.tunneling,
+        tau_m=state.tau_m,
+        repairs=state.repairs + n_repaired,
+    )
+
+
+def reference_purity(state, j):
+    return float(state.x[j] ** 2 + state.y[j] ** 2 + state.z[j] ** 2)
+
+
+def reference_purity_vector(state):
+    return state.x**2 + state.y**2 + state.z**2
+
+
+def reference_expected_purity_increment(state, j, dt):
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    z = state.z
+    zj = float(z[j])
+    pj = reference_purity(state, j)
+    vsq = (1.0 + z) ** 2
+    zsq = z * z
+    s_v = float(vsq.sum()) - (1.0 + zj) ** 2
+    s_z = float(zsq.sum()) - zj * zj
+    bracket = (1.0 - pj) * (1.0 - zj * zj) + (1.0 + zj) ** 2 * s_v + (pj - zj * zj) * s_z
+    # pj - zj^2 can land a few ulp below zero when x = y = 0
+    return max(bracket * dt / state.tau_m, 0.0)
+
+
+def reference_purity_trace(
+    params,
+    m,
+    n_steps,
+    energy=0.0,
+    tunneling=0.0,
+    tau_m=1.0,
+    initial=None,
+):
+    """PurityTrace fields as a dict, one trajectory at a time."""
+    if m < 1:
+        raise ValueError("need at least one realization")
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    template = initial if initial is not None else single_excitation_uniform(
+        params.n_sites, energy, tunneling, tau_m
+    )
+    n = template.n_sites
+    draw = noise_sampler(params.noise_kind)
+    dt = params.dt
+
+    p_sum = np.zeros(n_steps + 1)
+    p_sumsq = np.zeros(n_steps + 1)
+    d_sum = np.zeros(n_steps)
+    d_sumsq = np.zeros(n_steps)
+    q_sum = np.zeros(n_steps)
+    total_repairs = 0
+
+    for idx in range(m):
+        stream = derive_stream(params.master_seed, idx)
+        state = template
+        p_now = float(reference_purity_vector(state).mean())
+        p_sum[0] += p_now
+        p_sumsq[0] += p_now * p_now
+        for k in range(n_steps):
+            predicted = sum(
+                reference_expected_purity_increment(state, j, dt) for j in range(n)
+            ) / n
+            state = reference_step_bloch(state, draw(stream, n), dt)
+            p_next = float(reference_purity_vector(state).mean())
+            observed = p_next - p_now
+            diff = observed - predicted
+            p_sum[k + 1] += p_next
+            p_sumsq[k + 1] += p_next * p_next
+            d_sum[k] += diff
+            d_sumsq[k] += diff * diff
+            q_sum[k] += predicted
+            p_now = p_next
+        total_repairs += state.repairs
+
+    times = dt * np.arange(n_steps + 1)
+    mean_p = p_sum / m
+    var_p = np.maximum(p_sumsq / m - mean_p**2, 0.0)
+    stderr_p = np.sqrt(var_p / max(m - 1, 1))
+    mean_d = d_sum / m
+    var_d = np.maximum(d_sumsq / m - mean_d**2, 0.0)
+    stderr_d = np.sqrt(var_d / max(m - 1, 1))
+    return dict(
+        times=times,
+        mean_purity=mean_p,
+        stderr_purity=stderr_p,
+        predicted_mean=q_sum / m,
+        diff_mean=mean_d,
+        diff_stderr=stderr_d,
+        repairs=total_repairs,
+    )
+
+
+def reference_correlation_bound_check(params, m, t_grid):
+    """BoundCheckReport fields as a dict, one trajectory at a time."""
+    if m < 2:
+        raise ValueError("need at least two realizations for standard errors")
+    t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    if t_grid.size == 0:
+        raise ValueError("t_grid must be nonempty")
+    if t_grid[0] < 0.0:
+        raise ValueError("grid times must be nonnegative")
+    n = params.n_sites
+    if n < 2:
+        raise ValueError("pairwise moments need at least two sites")
+    dt = params.dt
+    steps_at = np.array([int(round(t / dt)) for t in t_grid])
+    grid_times = steps_at * dt
+    total_steps = int(steps_at.max())
+    draw = noise_sampler(params.noise_kind)
+    n_pairs = n * (n - 1) / 2.0
+
+    g = t_grid.size
+    sum_mean = np.zeros(g)
+    sumsq_mean = np.zeros(g)
+    # Per-pair running sums for locating the worst pair at each time.
+    sum_outer = np.zeros((g, n, n))
+    sumsq_outer = np.zeros((g, n, n))
+
+    for i in range(m):
+        stream = derive_stream(params.master_seed, i)
+        v = np.full(n, 2.0 / n)
+        step_to_slot = {int(s): idx for idx, s in enumerate(steps_at)}
+        if 0 in step_to_slot:
+            reference_record_pair_stats(
+                v, step_to_slot[0], sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
+            )
+        for k in range(1, total_steps + 1):
+            v = reference_euler_step(v, draw(stream, n), dt)
+            slot = step_to_slot.get(k)
+            if slot is not None:
+                reference_record_pair_stats(
+                    v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
+                )
+
+    mean_pair = sum_mean / m
+    var_mean = np.maximum(sumsq_mean / m - mean_pair**2, 0.0)
+    stderr_mean = np.sqrt(var_mean / (m - 1))
+
+    mean_outer = sum_outer / m
+    off = ~np.eye(n, dtype=bool)
+    max_pair = np.empty(g)
+    stderr_max = np.empty(g)
+    for idx in range(g):
+        masked = np.where(off, mean_outer[idx], -np.inf)
+        flat = int(np.argmax(masked))
+        a, b = divmod(flat, n)
+        max_pair[idx] = mean_outer[idx, a, b]
+        var = max(sumsq_outer[idx, a, b] / m - max_pair[idx] ** 2, 0.0)
+        stderr_max[idx] = math.sqrt(var / (m - 1))
+
+    bound = 4.0 / (4.0 * grid_times + (n - 1) ** 2)
+    margin_mean = reference_margin(bound, mean_pair, stderr_mean)
+    margin_max = reference_margin(bound, max_pair, stderr_max)
+    return dict(
+        n_sites=n,
+        realizations=m,
+        times=grid_times,
+        mean_pair=mean_pair,
+        stderr_mean=stderr_mean,
+        max_pair=max_pair,
+        stderr_max=stderr_max,
+        bound=bound,
+        margin_mean=margin_mean,
+        margin_max=margin_max,
+    )
+
+
+def reference_record_pair_stats(v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs):
+    outer = np.outer(v, v)
+    pair_mean = (float(v.sum()) ** 2 - float((v * v).sum())) / (2.0 * n_pairs)
+    sum_mean[slot] += pair_mean
+    sumsq_mean[slot] += pair_mean * pair_mean
+    sum_outer[slot] += outer
+    sumsq_outer[slot] += outer * outer
+
+
+def reference_margin(bound, value, stderr):
+    safe = np.where(stderr > 0.0, stderr, 1.0)
+    raw = (bound - value) / safe
+    # With zero spread the margin is determined by the sign alone.
+    return np.where(stderr > 0.0, raw, np.where(bound >= value, np.inf, -np.inf))

@@ -166,20 +166,24 @@ def test_c05_norm_conservation():
 
 
 def test_c06_martingale_mean():
-    n, dt, m = 4, 0.01, 10000
+    n, dt, m, steps = 4, 0.01, 10000, 50
     checkpoints = {10: 0, 50: 1}  # step -> row, i.e. t = 0.1 and t = 0.5
     sums = np.zeros((2, n))
     sumsq = np.zeros((2, n))
     draw = noise_sampler(NoiseKind.NORMAL)
-    for idx in range(m):
-        stream = derive_stream(505, idx)
-        v = init_uniform(n)
-        for k in range(1, 51):
-            v = euler_step(v, draw(stream, n), dt)
-            row = checkpoints.get(k)
-            if row is not None:
-                sums[row] += v
-                sumsq[row] += v * v
+    # Each trajectory draws its steps as one chunk, the same numbers as one
+    # draw per step, and all trajectories are stepped together as rows.
+    noise = np.stack(
+        [draw(derive_stream(505, idx), (steps, n)) for idx in range(m)], axis=1
+    )
+    v = np.tile(init_uniform(n), (m, 1))
+    for k in range(1, steps + 1):
+        v = euler_step(v, noise[k - 1], dt)
+        row = checkpoints.get(k)
+        if row is not None:
+            # accumulate adds the trajectories one at a time, in index order.
+            sums[row] = np.add.accumulate(np.vstack((sums[row], v)))[-1]
+            sumsq[row] = np.add.accumulate(np.vstack((sumsq[row], v * v)))[-1]
     mean = sums / m
     var = np.maximum(sumsq / m - mean**2, 0.0)
     stderr = np.sqrt(var / (m - 1))

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collapse_sim.core import SimParams, derive_stream
+from collapse_sim.core import NoiseKind, SimParams, derive_stream
 from collapse_sim.bloch import (
     BlochEnsemble,
+    _increments,
+    _step_rows,
     correlation_zz,
     expected_purity_increment,
     from_amplitudes,
@@ -19,7 +23,12 @@ from collapse_sim.bloch import (
 )
 from collapse_sim.sde import euler_step
 
-from reference import reference_bloch_step
+from reference import (
+    reference_bloch_step,
+    reference_expected_purity_increment,
+    reference_purity_trace,
+    reference_step_bloch,
+)
 
 
 def random_sector_state(rng, n, energy=0.0, tunneling=0.0, tau_m=1.0):
@@ -234,3 +243,93 @@ class TestPurityTrace:
             purity_trace(params, 0, 5)
         with pytest.raises(ValueError):
             purity_trace(params, 5, 0)
+
+
+class TestRowKernelBitwise:
+    """The row-wise Bloch code against the one-register loops, bitwise."""
+
+    @staticmethod
+    def assert_trace_equal(params, m, n_steps, **kwargs):
+        got = purity_trace(params, m, n_steps, **kwargs)
+        want = reference_purity_trace(params, m, n_steps, **kwargs)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value), name
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5),
+        n=st.integers(1, 12),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        dt=st.sampled_from([1e-3, 0.04, 0.3]),
+        noise_scale=st.sampled_from([1.0, 5.0]),
+        drive=st.sampled_from([(0.0, 0.0, 1.0), (0.7, -0.4, 2.5), (-1.5, 1.1, 0.3)]),
+    )
+    def test_row_kernel_matches_one_register_steps(
+        self, seed, rows, n, layout, dt, noise_scale, drive
+    ):
+        rng = np.random.default_rng(seed)
+        energy, tunneling, tau_m = drive
+        states = [random_ball_state(rng, n, energy, tunneling, tau_m) for _ in range(rows)]
+        noise = noise_scale * rng.standard_normal((rows, n))
+        arrays = [np.array([getattr(s, c) for s in states]) for c in "xyz"] + [noise]
+        if layout == "F":
+            arrays = [np.asfortranarray(a) for a in arrays]
+        elif layout == "strided":
+            wide = [np.zeros((rows, 2 * n)) for _ in arrays]
+            for w, a in zip(wide, arrays):
+                w[:, ::2] = a
+            arrays = [w[:, ::2] for w in wide]
+        x, y, z, repaired = _step_rows(*arrays, dt, energy, tunneling, tau_m)
+        increments = _increments(*arrays[:3], dt, tau_m)
+        for r, state in enumerate(states):
+            want = reference_step_bloch(state, noise[r], dt)
+            assert np.array_equal(x[r], want.x)
+            assert np.array_equal(y[r], want.y)
+            assert np.array_equal(z[r], want.z)
+            assert repaired[r] == want.repairs
+            for j in range(n):
+                assert increments[r, j] == reference_expected_purity_increment(state, j, dt)
+
+    def test_row_kernel_repairs_rows(self):
+        rng = np.random.default_rng(4)
+        states = [random_ball_state(rng, 6, 0.7, -0.4, 2.5) for _ in range(8)]
+        # Rows 0-3 get no noise and only decay; rows 4-7 overshoot.
+        noise = np.repeat([0.0, 5.0], 4)[:, None] * rng.standard_normal((8, 6))
+        coords = [np.array([getattr(s, c) for s in states]) for c in "xyz"]
+        *_, repaired = _step_rows(*coords, noise, 0.3, 0.7, -0.4, 2.5)
+        assert np.all(repaired[:4] == 0) and np.all(repaired[4:] > 0)
+        for r, state in enumerate(states):
+            assert repaired[r] == reference_step_bloch(state, noise[r], 0.3).repairs
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 16])
+    @pytest.mark.parametrize("dt", [1 / 25, 0.3])
+    def test_purity_trace(self, kind, n, dt):
+        params = SimParams(n_sites=n, dt=dt, noise_kind=kind, master_seed=100 + n)
+        got = self.assert_trace_equal(params, 2, 12)
+        if dt == 0.3 and n > 2:
+            assert got.repairs > 0
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_purity_trace_driven(self, kind):
+        params = SimParams(n_sites=7, dt=0.3, noise_kind=kind, master_seed=5)
+        got = self.assert_trace_equal(params, 2, 10, energy=0.7, tunneling=-0.4, tau_m=2.5)
+        assert got.repairs > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 300])
+    def test_purity_trace_blocks(self, m):
+        # m = 300 is one block of 256 and one of 44.
+        params = SimParams(n_sites=4, dt=1 / 25, master_seed=17)
+        self.assert_trace_equal(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_purity_trace_initial_template(self, kind):
+        # The template's size, drive and repair count win over params and
+        # keywords; every trajectory starts from its repair count.
+        ball = random_ball_state(np.random.default_rng(8), 5)
+        initial = BlochEnsemble(ball.x, ball.y, ball.z, 0.4, 0.9, 1.7, repairs=3)
+        params = SimParams(n_sites=2, dt=0.3, noise_kind=kind, master_seed=21)
+        got = self.assert_trace_equal(params, 3, 6, energy=5.0, initial=initial)
+        assert got.repairs > 3 * 3

@@ -137,12 +137,14 @@ class TestSweep:
             ["--mode", "step", "--m", "0"],
             ["--mode", "step", "--horizon", "0.01"],
             ["--mode", "step", "--n-list", "0,4"],
+            ["--n-list", "4,nan", "--m", "5"],
         ],
         ids=[
             "n-list-not-increasing",
             "step-zero-m",
             "step-horizon-below-dt",
             "step-zero-sites",
+            "n-list-nan",
         ],
     )
     def test_bad_sweep_input_is_a_usage_error(self, argv, capsys):
@@ -296,6 +298,23 @@ class TestCheck:
         assert rc == 0
         summary = json.loads(read("check_summary.json"))
         assert summary["satisfied"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--t-max", "nan"],
+        ["trajectory", "--t-max", "inf"],
+        ["check", "--m", "5", "--t-grid", "0,nan"],
+        ["check", "--m", "5", "--t-grid", "0,inf"],
+    ],
+    ids=["t-max-nan", "t-max-inf", "t-grid-nan", "t-grid-inf"],
+)
+def test_non_finite_time_is_a_usage_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "must be finite" in err
 
 
 class TestConfig:

@@ -45,6 +45,8 @@ class TestSimParams:
             dict(n_sites=2, t_max=0.01, dt=0.04),
             dict(n_sites=2, master_seed=1.5),
             dict(n_sites=2, noise_kind="triangular"),
+            dict(n_sites=2, t_max=float("nan")),
+            dict(n_sites=2, t_max=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -17,7 +17,12 @@ from collapse_sim.stats import (
     scaling_sweep,
 )
 
-from reference import reference_ensemble, reference_max_rise, reference_run_block
+from reference import (
+    reference_correlation_bound_check,
+    reference_ensemble,
+    reference_max_rise,
+    reference_run_block,
+)
 
 
 def make_stats(n, mean, stderr=0.01, m=100, exceeded=0):
@@ -167,6 +172,27 @@ class TestBlockEngineBitwise:
                 assert rep.mean_rise[row] == rises.mean()
                 assert rep.stderr_rise[row] == rises.std(ddof=1) / math.sqrt(m)
 
+    @staticmethod
+    def assert_check_equal(params, m, t_grid):
+        got = correlation_bound_check(params, m, t_grid)
+        want = reference_correlation_bound_check(params, m, t_grid)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n", [2, 4, 7, 16])
+    @pytest.mark.parametrize("dt", [0.04, 0.3])
+    def test_bound_check(self, kind, n, dt):
+        # dt = 0.3 makes most steps clamp; 0.5 and 0.5 share a step.
+        params = SimParams(n_sites=n, dt=dt, noise_kind=kind, master_seed=20 + n)
+        self.assert_check_equal(params, 2, [1.2, 0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_bound_check_two_blocks(self, kind):
+        # m = 300 is one block of 256 and one of 44.
+        params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=31)
+        self.assert_check_equal(params, 300, [0.0, 0.5, 1.0])
+
 
 class TestScalingSweep:
     def test_single_row_matches_direct_run(self):
@@ -266,6 +292,9 @@ class TestBoundCheck:
             correlation_bound_check(p, 10, [])
         with pytest.raises(ValueError):
             correlation_bound_check(p, 10, [-1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                correlation_bound_check(p, 10, [0.0, bad])
         with pytest.raises(ValueError):
             correlation_bound_check(SimParams(n_sites=1, dt=0.04), 10, [0.0])
 
