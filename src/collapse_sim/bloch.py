@@ -30,8 +30,9 @@ The update rule lives in one row-wise kernel, which steps many registers
 at once as the rows of C-contiguous (rows, N) arrays x, y and z and
 counts the repairs of each row.  step_bloch is its one-row caller.
 purity_trace steps blocks of trajectories together through
-`stats._drive_block`, and evaluates the predicted increments of all rows
-and sites at once.  Every row gives the same bits as stepping that register alone.
+`sde._drive_block`, the one block driver, which also steps the occupation
+picture, and evaluates the predicted increments of all rows and sites at
+once.  Every row gives the same bits as stepping that register alone.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimParams, noise_sampler
-from .stats import _BLOCK, _drive_block
+from .sde import _BLOCK, _block_streams, _drive_block, euler_step
 
 __all__ = [
     "BlochEnsemble",
@@ -365,7 +366,7 @@ def purity_trace(
                 inc = _increments(x, y, z, dt, template.tau_m)
                 q[:, k] = [sum(row) / n for row in inc.tolist()]
 
-        _drive_block(params, params.master_seed, start, count, n_steps,
+        _drive_block(params, _block_streams(params.master_seed, start, count), n_steps,
                      np.repeat(first[:, None, :], count, axis=1), step, observe)
         # Trajectories enter the sums one at a time, in index order.
         for p_row, q_row in zip(p, q):
@@ -404,8 +405,6 @@ def twin_deviation(params: SimParams, n_steps: int, stream: np.random.Generator)
     are algebraically identical in this regime, so the value measures
     only accumulated rounding and boundary-handling differences.
     """
-    from .sde import euler_step
-
     if n_steps < 1:
         raise ValueError("need at least one twin step")
     n = params.n_sites

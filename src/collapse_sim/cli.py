@@ -142,12 +142,16 @@ def _parse_bool(value) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {value!r}")
 
 
-def _parse_number_list(value) -> list[float]:
+def _parse_number_list(value, element=_real) -> list:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip() != ""]
     elif not isinstance(value, list):
         raise argparse.ArgumentTypeError(f"not a list of numbers: {value!r}")
-    return [_real(part) for part in value]
+    return [element(part) for part in value]
+
+
+def _parse_integer_list(value) -> list[int]:
+    return _parse_number_list(value, _integer)
 
 
 @dataclass(frozen=True)
@@ -266,15 +270,13 @@ def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
 
 
 def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
-    n_list = [int(n) for n in s.n_list]
-
     if s.mode == "step":
-        report = initial_step_experiment(n_list, params, horizon=s.horizon, m=s.m)
+        report = initial_step_experiment(s.n_list, params, horizon=s.horizon, m=s.m)
         _write_csv(
             s.output,
             ["N", "mean_rise", "stderr", "realizations"],
             zip(report.n_values, report.mean_rise, report.stderr_rise,
-                [report.realizations] * len(n_list)),
+                [report.realizations] * len(s.n_list)),
         )
         _write_json(
             s.fit_output,
@@ -291,7 +293,7 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
 
     if s.m < 1:
         raise ConfigError("m must be a positive integer")
-    table = scaling_sweep(n_list, params, s.m, workers=s.threads)
+    table = scaling_sweep(s.n_list, params, s.m, workers=s.threads)
     _write_csv(
         s.output,
         ["N", "mean_time", "stderr", "realizations", "exceeded"],
@@ -453,7 +455,7 @@ COMMANDS = {
     "sweep": Command(cmd_sweep, "collapse-time scan over N plus fit", (
         Option("mode", _text, "times", "times: collapse times and their lnln fit; "
                "step: early climb of site 1", ("times", "step")),
-        Option("n_list", _parse_number_list, [4, 8, 16, 32, 64, 128, 256, 512],
+        Option("n_list", _parse_integer_list, [4, 8, 16, 32, 64, 128, 256, 512],
                "register sizes, comma-separated"),
         Option("m", _integer, lambda s: 64 if s["mode"] == "step" else 2000,
                "realizations per N (default: 2000, or 64 with --mode step)"),
@@ -498,8 +500,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # Every usage error (a rejected flag value, an unknown flag, no
+    # subcommand) is reported by main like a bad config value.
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collapse-sim",
         description="Collapse dynamics of weakly monitored qubit registers",
     )
@@ -520,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings = _settings(args, _load_config(args.config) if args.config else {})
         sim = {field.name: getattr(settings, field.name) for field in fields(SimParams)}
         # The library rejects bad settings with ValueError.

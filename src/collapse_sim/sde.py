@@ -25,6 +25,10 @@ exactly 2.  The clamping bias is O(dt) and vanishes under refinement.
 
 Cross-site reductions use sorted summation so that relabeling the sites
 (and their noise components alike) commutes with a step bitwise.
+
+Every experiment steps its trajectories through one block driver,
+``_drive_block``, as the rows of one array; ``run_trajectory`` is a
+one-row block of it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimParams, noise_sampler, validate_state
+from .core import SimParams, derive_stream, init_uniform, noise_sampler, validate_state
 
 __all__ = [
     "increment",
@@ -43,6 +47,13 @@ __all__ = [
     "run_trajectory",
     "TrajectoryResult",
 ]
+
+# Trajectories are stepped in fixed blocks of this size, so the
+# partitioning never depends on the worker count.
+_BLOCK = 256
+
+# Floats of noise drawn ahead for all live rows of a block together.
+_DRAW_CAP = 1 << 17
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -171,6 +182,18 @@ def euler_step(state: np.ndarray, noise: np.ndarray, dt: float) -> np.ndarray:
     return _repair_simplex(raw.reshape(-1, state.shape[-1])).reshape(state.shape)
 
 
+def _collapsed(state: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The collapse rule, row by row, for a (rows, n) array of states.
+
+    Returns the mask of rows with some site at ``V >= 2 - delta`` and, for
+    each of those rows in order, its first such site.  For ``delta < 1``
+    at most one site of a row can qualify, so the first is the only one.
+    """
+    hits = state >= 2.0 - delta
+    done = hits.any(axis=1)
+    return done, hits[done].argmax(axis=1)
+
+
 def detect_collapse(state: np.ndarray, delta: float) -> int | None:
     """Index of the collapsed site, or None if no site has collapsed.
 
@@ -180,11 +203,102 @@ def detect_collapse(state: np.ndarray, delta: float) -> int | None:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    state = np.asarray(state, dtype=float)
-    hits = np.flatnonzero(state >= 2.0 - delta)
-    if hits.size == 0:
+    state = np.asarray(state, dtype=float).reshape(1, -1)
+    if state.size == 0:
         return None
-    return int(hits[0])
+    done, site = _collapsed(state, delta)
+    return int(site[0]) if done[0] else None
+
+
+def _start_state(n: int, initial: np.ndarray | None) -> np.ndarray:
+    """The starting vector: uniform 2/n per site, or a checked copy of ``initial``."""
+    if initial is None:
+        return init_uniform(n)
+    state = validate_state(np.array(initial, dtype=float))
+    if state.size != n:
+        raise ValueError("initial state size does not match n_sites")
+    return state
+
+
+class _BlockNoise:
+    """Per-step noise for the live rows of a block of trajectories.
+
+    Row i draws from ``streams[i]``, in chunks of several steps through
+    ``draw(stream, (k, n))``, which yields the same numbers as k calls of
+    ``draw(stream, n)``.  A chunk holds at most ``_DRAW_CAP`` floats over
+    all live rows, or one step when a step alone is larger, so it never
+    holds more than the larger of the cap and the block's state.
+    """
+
+    def __init__(self, kind, n: int, streams: list, steps: int):
+        self._streams = streams
+        self._draw = noise_sampler(kind)
+        self._n = n
+        self._left = steps
+        self._buf = np.empty((0, 0, self._n))
+        self._pos = 0
+        # Buffer rows of the live rows; None while no row has left since
+        # the last refill, so a step's noise is a view, not a copy.
+        self._slot = None
+
+    def take(self) -> np.ndarray:
+        """C-contiguous (rows, n) noise for the next step of the live rows."""
+        if self._pos == self._buf.shape[0]:
+            self._refill()
+        step = self._buf[self._pos]
+        noise = step if self._slot is None else step[self._slot]
+        self._pos += 1
+        self._left -= 1
+        return noise
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is false; later steps skip them."""
+        self._streams = [s for s, k in zip(self._streams, mask) if k]
+        self._slot = mask.nonzero()[0] if self._slot is None else self._slot[mask]
+
+    def _refill(self) -> None:
+        rows = len(self._streams)
+        k = max(1, min(self._left, _DRAW_CAP // (rows * self._n)))
+        buf = np.empty((k, rows, self._n))
+        for r, stream in enumerate(self._streams):
+            buf[:, r, :] = self._draw(stream, (k, self._n))
+        self._buf = buf
+        self._pos = 0
+        self._slot = None
+
+
+def _block_streams(seed: int, start: int, count: int) -> list:
+    """The streams of trajectories [start, start + count): row i of the
+    block draws from ``derive_stream(seed, start + i)``."""
+    return [derive_stream(seed, i) for i in range(start, start + count)]
+
+
+def _drive_block(params: SimParams, streams: list, steps: int,
+                 state: np.ndarray, step, observe) -> None:
+    """Step one trajectory per stream together, as the rows of one array.
+
+    ``state`` holds their starting states, one per row along its
+    second-to-last axis, with the sites along the last.  Row i draws its
+    noise from ``streams[i]``, and ``step(state, noise, dt)`` advances all
+    live rows by one step.  Before the first step and after each one,
+    ``observe(k, state, live)`` sees the state after k steps; ``live``
+    holds the rows' indices in the block.  It is also the stop rule: it
+    returns a mask of the rows that go on, or None to keep them all.  The
+    block ends after ``steps`` steps or once no row is left.
+    """
+    noise = _BlockNoise(params.noise_kind, state.shape[-1], streams, steps)
+    live = np.arange(len(streams))
+    k = 0
+    while True:
+        keep = observe(k, state, live)
+        if keep is not None:
+            state = state[..., keep, :]
+            live = live[keep]
+            noise.keep(keep)
+        if live.size == 0 or k == steps:
+            return
+        k += 1
+        state = step(state, noise.take(), params.dt)
 
 
 @dataclass
@@ -224,75 +338,47 @@ def run_trajectory(
         Step size, collapse threshold, horizon and noise family.
     stream : numpy Generator
         Source of noise for this realization.  Callers wanting
-        reproducibility should derive it with ``derive_stream``.
+        reproducibility should derive it with ``derive_stream``.  The
+        noise is drawn several steps ahead (up to the horizon, and at most
+        2^17 floats at a time), so the stream may end up advanced past the
+        last step taken; use a fresh stream for each call.
     initial : array, optional
         Starting state; defaults to the uniform point 2/n per site.
     path_stride : int, optional
         Record the path: the start, every ``path_stride``-th step and the
         last step.  None records nothing.
 
+    The run is a one-row block of the same driver as ``run_ensemble``, so
+    trajectory i of an ensemble replays exactly on stream (master_seed, i).
     The state is checked before the first step, so an initial condition
     already past the threshold reports collapse at time 0 with 0 steps.
     """
     if path_stride is not None and path_stride < 1:
         raise ValueError("path_stride must be >= 1")
     n = params.n_sites
-    if initial is None:
-        state = np.full(n, 2.0 / n)
-    else:
-        state = np.asarray(initial, dtype=float).copy()
-        validate_state(state)
-        if state.size != n:
-            raise ValueError("initial state size does not match n_sites")
-
     dt = params.dt
-    delta = params.delta
-    draw = noise_sampler(params.noise_kind)
     max_steps = int(math.floor(params.t_max / dt + 1e-9))
-
-    record = path_stride is not None
     times: list[float] = []
     states: list[np.ndarray] = []
-    if record:
-        times.append(0.0)
-        states.append(state.copy())
+    end: dict = {}
 
-    winner = detect_collapse(state, delta)
-    if winner is not None:
-        return TrajectoryResult(
-            collapse_time=0.0,
-            winner=winner,
-            steps_taken=0,
-            final_state=state,
-            path_times=np.asarray(times),
-            path_states=np.asarray(states) if states else np.empty((0, n)),
-        )
-
-    steps = 0
-    for k in range(1, max_steps + 1):
-        noise = draw(stream, n)
-        state = euler_step(state, noise, dt)
-        steps = k
-        winner = detect_collapse(state, delta)
-        done = winner is not None
-        if record and (k % path_stride == 0 or done or k == max_steps):
+    def observe(k, state, live):
+        done, site = _collapsed(state, params.delta)
+        last = bool(done[0]) or k == max_steps
+        if path_stride is not None and (k % path_stride == 0 or last):
             times.append(k * dt)
-            states.append(state.copy())
-        if done:
-            return TrajectoryResult(
-                collapse_time=k * dt,
-                winner=winner,
-                steps_taken=steps,
-                final_state=state,
-                path_times=np.asarray(times),
-                path_states=np.asarray(states) if states else np.empty((0, n)),
-            )
+            states.append(state[0].copy())
+        if last:
+            end.update(steps=k, state=state[0], winner=int(site[0]) if done[0] else None)
+        return ~done if done[0] else None
 
+    start = _start_state(n, initial)
+    _drive_block(params, [stream], max_steps, start[None], euler_step, observe)
     return TrajectoryResult(
-        collapse_time=None,
-        winner=None,
-        steps_taken=steps,
-        final_state=state,
+        collapse_time=None if end["winner"] is None else end["steps"] * dt,
+        winner=end["winner"],
+        steps_taken=end["steps"],
+        final_state=end["state"],
         path_times=np.asarray(times),
         path_states=np.asarray(states) if states else np.empty((0, n)),
     )

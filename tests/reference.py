@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from collapse_sim.bloch import BlochEnsemble, single_excitation_uniform
-from collapse_sim.core import derive_stream, noise_sampler
+from collapse_sim.core import derive_stream, noise_sampler, validate_state
+from collapse_sim.sde import TrajectoryResult
 
 
 def reference_increment(v, dw):
@@ -427,3 +428,86 @@ def reference_margin(bound, value, stderr):
     raw = (bound - value) / safe
     # With zero spread the margin is determined by the sign alone.
     return np.where(stderr > 0.0, raw, np.where(bound >= value, np.inf, -np.inf))
+
+
+# ---------------------------------------------------------------------------
+# The one-trajectory stepping loop of ``run_trajectory`` and its collapse
+# test, kept verbatim from before the run became a one-row block of the
+# block driver (apart from the names, and the one-vector Euler kernel above
+# in place of the row-wise one).  The one-row block must reproduce every
+# field of its result bit for bit.
+
+
+def reference_detect_collapse(state, delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    state = np.asarray(state, dtype=float)
+    hits = np.flatnonzero(state >= 2.0 - delta)
+    if hits.size == 0:
+        return None
+    return int(hits[0])
+
+
+def reference_run_trajectory(params, stream, initial=None, *, path_stride=None):
+    if path_stride is not None and path_stride < 1:
+        raise ValueError("path_stride must be >= 1")
+    n = params.n_sites
+    if initial is None:
+        state = np.full(n, 2.0 / n)
+    else:
+        state = np.asarray(initial, dtype=float).copy()
+        validate_state(state)
+        if state.size != n:
+            raise ValueError("initial state size does not match n_sites")
+
+    dt = params.dt
+    delta = params.delta
+    draw = noise_sampler(params.noise_kind)
+    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+
+    record = path_stride is not None
+    times = []
+    states = []
+    if record:
+        times.append(0.0)
+        states.append(state.copy())
+
+    winner = reference_detect_collapse(state, delta)
+    if winner is not None:
+        return TrajectoryResult(
+            collapse_time=0.0,
+            winner=winner,
+            steps_taken=0,
+            final_state=state,
+            path_times=np.asarray(times),
+            path_states=np.asarray(states) if states else np.empty((0, n)),
+        )
+
+    steps = 0
+    for k in range(1, max_steps + 1):
+        noise = draw(stream, n)
+        state = reference_euler_step(state, noise, dt)
+        steps = k
+        winner = reference_detect_collapse(state, delta)
+        done = winner is not None
+        if record and (k % path_stride == 0 or done or k == max_steps):
+            times.append(k * dt)
+            states.append(state.copy())
+        if done:
+            return TrajectoryResult(
+                collapse_time=k * dt,
+                winner=winner,
+                steps_taken=steps,
+                final_state=state,
+                path_times=np.asarray(times),
+                path_states=np.asarray(states) if states else np.empty((0, n)),
+            )
+
+    return TrajectoryResult(
+        collapse_time=None,
+        winner=None,
+        steps_taken=steps,
+        final_state=state,
+        path_times=np.asarray(times),
+        path_states=np.asarray(states) if states else np.empty((0, n)),
+    )

@@ -138,6 +138,9 @@ class TestSweep:
             ["--mode", "step", "--horizon", "0.01"],
             ["--mode", "step", "--n-list", "0,4"],
             ["--n-list", "4,nan", "--m", "5"],
+            ["--n-list", "4,8,inf", "--m", "5"],
+            ["--n-list", "4.7,8,16", "--m", "5"],
+            ["--mode", "step", "--n-list", "2.5", "--m", "5"],
         ],
         ids=[
             "n-list-not-increasing",
@@ -145,6 +148,9 @@ class TestSweep:
             "step-horizon-below-dt",
             "step-zero-sites",
             "n-list-nan",
+            "n-list-inf",
+            "n-list-fraction",
+            "step-n-list-fraction",
         ],
     )
     def test_bad_sweep_input_is_a_usage_error(self, argv, capsys):
@@ -299,6 +305,15 @@ class TestCheck:
         summary = json.loads(read("check_summary.json"))
         assert summary["satisfied"] is False
 
+    @pytest.mark.parametrize("t_grid", ["0.5,0.5", "0.49,0.5"])
+    def test_grid_times_sharing_a_step_share_a_row(self, t_grid):
+        # At dt = 0.04 both times round to step 12.
+        assert main(["check", "--m", "20", "--t-grid", t_grid]) == 0
+        lines = read("check.csv").decode().splitlines()
+        assert len(lines) == 3
+        assert lines[1] == lines[2]
+        assert float(lines[1].split(",")[1]) > 0.0
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -315,6 +330,24 @@ def test_non_finite_time_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "required: command"),
+        (["launch"], "invalid choice: 'launch'"),
+        (["trajectory", "--noise-kind", "gaussian"], "argument --noise-kind"),
+    ],
+    ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice"],
+)
+def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and text in err
+    assert err.count("\n") == 1
 
 
 class TestConfig:
@@ -386,6 +419,7 @@ class TestConfig:
             ("check", {"check": {"strict": 1}}, "strict"),
             ("trajectory", {"noise_kind": "gaussian"}, "noise_kind"),
             ("trajectory", {"trajectory": {"output": 5}}, "output"),
+            ("sweep", {"sweep": {"n_list": [4.7, 8, 16], "m": 5}}, "n_list"),
         ],
         ids=[
             "m-text",
@@ -397,6 +431,7 @@ class TestConfig:
             "strict-number",
             "noise-kind-choice",
             "output-number",
+            "n-list-fraction",
         ],
     )
     def test_value_of_wrong_type_is_a_usage_error(

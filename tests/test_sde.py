@@ -1,11 +1,15 @@
+import ast
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapse_sim.core import SimParams, derive_stream, validate_state
+import collapse_sim
+from collapse_sim.core import NoiseKind, SimParams, derive_stream, init_weighted, validate_state
 from collapse_sim.sde import (
     TrajectoryResult,
     detect_collapse,
@@ -19,6 +23,7 @@ from reference import (
     reference_euler_step,
     reference_increment,
     reference_increment_1d,
+    reference_run_trajectory,
 )
 
 
@@ -204,6 +209,7 @@ class TestDetectCollapse:
         assert detect_collapse(np.array([1.995, 0.003, 0.002]), 0.01) == 0
         assert detect_collapse(np.array([1.2, 0.5, 0.3]), 0.01) is None
         assert detect_collapse(np.array([2.0, 0.0]), 0.5) == 0
+        assert detect_collapse(np.array([]), 0.01) is None
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -297,6 +303,53 @@ class TestRunTrajectory:
         assert np.array_equal(a.final_state, b.final_state)
 
 
+class TestRunTrajectoryBitwise:
+    """The one-row block against the verbatim one-trajectory loop, bitwise."""
+
+    @staticmethod
+    def assert_same(params, index, initial=None, path_stride=None):
+        got = run_trajectory(params, derive_stream(params.master_seed, index), initial,
+                             path_stride=path_stride)
+        want = reference_run_trajectory(params, derive_stream(params.master_seed, index),
+                                        initial, path_stride=path_stride)
+        for f in fields(TrajectoryResult):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.dtype == b.dtype, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+        return got
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("path_stride", [None, 1, 7])
+    @pytest.mark.parametrize("dt", [0.04, 0.3])
+    def test_uniform_start(self, kind, n, path_stride, dt):
+        # dt = 0.3 makes most steps clamp; N = 1 collapses before a step.
+        params = SimParams(n_sites=n, dt=dt, noise_kind=kind, master_seed=3 * n + 1)
+        for index in (0, 5):
+            self.assert_same(params, index, path_stride=path_stride)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("path_stride", [None, 7])
+    def test_horizon_exceedance(self, kind, path_stride):
+        params = SimParams(n_sites=7, dt=0.04, t_max=0.5, noise_kind=kind, master_seed=8)
+        r = self.assert_same(params, 1, path_stride=path_stride)
+        assert r.collapse_time is None and r.steps_taken == 12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("start", [
+        init_weighted([0.1, 0.2, 0.3, 0.4]),
+        np.array([0.0, 2.0, 0.0, 0.0]),
+    ], ids=["weighted", "corner"])
+    def test_given_start(self, kind, start):
+        params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=6)
+        for path_stride in (None, 7):
+            self.assert_same(params, 2, start, path_stride=path_stride)
+
+
 class TestMartingaleShort:
     def test_mean_preserved_small_ensemble(self):
         # 5 standard errors around the initial value after 10 steps.
@@ -317,3 +370,28 @@ class TestMartingaleShort:
         mean = acc / m
         se = np.sqrt(np.maximum(accsq / m - mean**2, 0.0) / (m - 1))
         assert np.all(np.abs(mean - 0.5) <= 5.0 * se)
+
+
+def _package_imports(name):
+    """Modules of the package that ``collapse_sim/<name>.py`` imports."""
+    source = Path(collapse_sim.__file__).with_name(f"{name}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("collapse_sim."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("collapse_sim."))
+    return found
+
+
+def test_layering():
+    # core <- sde <- {stats, bloch}: the stepper and its block driver sit
+    # below every experiment that drives them.
+    assert _package_imports("sde") == {"core"}
+    assert "stats" not in _package_imports("bloch")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from collapse_sim.core import NoiseKind, SimParams, derive_seed, init_weighted
+from collapse_sim.core import NoiseKind, SimParams, derive_seed, derive_stream, init_weighted
+from collapse_sim.sde import run_trajectory
 from collapse_sim.stats import (
     BoundCheckReport,
     CollapseStats,
@@ -172,12 +173,35 @@ class TestBlockEngineBitwise:
                 assert rep.mean_rise[row] == rises.mean()
                 assert rep.stderr_rise[row] == rises.std(ddof=1) / math.sqrt(m)
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_replay_matches_block(self, kind):
+        # The README contract: trajectory i of an ensemble replays alone on
+        # stream (master_seed, i).  m = 300 crosses the block boundary, and
+        # the short horizon leaves some trajectories uncollapsed.
+        params = SimParams(n_sites=4, dt=0.04, t_max=3.0, noise_kind=kind, master_seed=17)
+        parts = [_run_block((params, 0, 256, None)), _run_block((params, 256, 44, None))]
+        times = np.concatenate([p[0] for p in parts])
+        winners = np.concatenate([p[1] for p in parts])
+        assert np.isnan(times).any() and not np.isnan(times).all()
+        for i in range(300):
+            r = run_trajectory(params, derive_stream(params.master_seed, i))
+            if np.isnan(times[i]):
+                assert r.collapse_time is None and winners[i] == -1
+            else:
+                assert r.collapse_time == times[i] and r.winner == winners[i]
+
     @staticmethod
     def assert_check_equal(params, m, t_grid):
         got = correlation_bound_check(params, m, t_grid)
         want = reference_correlation_bound_check(params, m, t_grid)
+        # The reference fills only the last slot of grid times that share
+        # a step and leaves the others at zero; every such slot must hold
+        # the bits of that last one.
+        steps = [int(round(t / params.dt)) for t in sorted(t_grid)]
+        last = [len(steps) - 1 - steps[::-1].index(s) for s in steps]
         for name, value in want.items():
-            assert np.array_equal(getattr(got, name), value), name
+            expected = value[last] if np.ndim(value) else value
+            assert np.array_equal(getattr(got, name), expected), name
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("n", [2, 4, 7, 16])
