@@ -29,10 +29,10 @@ radially back onto the unit sphere and the event counted in `repairs`.
 The update rule lives in one row-wise kernel, which steps many registers
 at once as the rows of C-contiguous (rows, N) arrays x, y and z and
 counts the repairs of each row.  step_bloch is its one-row caller.
-purity_trace steps blocks of trajectories together through
-`sde._drive_block`, the one block driver, which also steps the occupation
-picture, and evaluates the predicted increments of all rows and sites at
-once.  Every row gives the same bits as stepping that register alone.
+purity_trace is an observer of `sde._drive_ensemble`, the one ensemble
+driver, which also steps the occupation picture, and evaluates the
+predicted increments of all rows and sites at once.  Every row gives the
+same bits as stepping that register alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimParams, noise_sampler
-from .sde import _BLOCK, _block_streams, _drive_block, euler_step
+from .sde import _drive_ensemble, euler_step
 
 __all__ = [
     "BlochEnsemble",
@@ -353,22 +353,22 @@ def purity_trace(
         total_repairs += int(repaired.sum())
         return np.stack((x, y, z))
 
-    for start in range(0, m, _BLOCK):
-        count = min(_BLOCK, m - start)
-        # Site-mean purity after k steps and predicted gain of step k + 1.
-        p = np.empty((count, n_steps + 1))
-        q = np.empty((count, n_steps))
+    # Per block: site-mean purity after k steps and predicted gain of step k + 1.
+    p = q = None
 
-        def observe(k, xyz, live):
-            x, y, z = xyz
-            p[:, k] = (x**2 + y**2 + z**2).mean(axis=1)
-            if k < n_steps:
-                inc = _increments(x, y, z, dt, template.tau_m)
-                q[:, k] = [sum(row) / n for row in inc.tolist()]
-
-        _drive_block(params, _block_streams(params.master_seed, start, count), n_steps,
-                     np.repeat(first[:, None, :], count, axis=1), step, observe)
-        # Trajectories enter the sums one at a time, in index order.
+    def observe(k, xyz, live):
+        nonlocal p, q, p_sum, p_sumsq, d_sum, d_sumsq, q_sum
+        x, y, z = xyz
+        if k == 0:
+            p = np.empty((live.size, n_steps + 1))
+            q = np.empty((live.size, n_steps))
+        p[:, k] = (x**2 + y**2 + z**2).mean(axis=1)
+        if k < n_steps:
+            inc = _increments(x, y, z, dt, template.tau_m)
+            q[:, k] = [sum(row) / n for row in inc.tolist()]
+            return
+        # Blocks end in index order, and their trajectories enter the sums
+        # one at a time, in index order.
         for p_row, q_row in zip(p, q):
             diff = (p_row[1:] - p_row[:-1]) - q_row
             p_sum += p_row
@@ -376,6 +376,8 @@ def purity_trace(
             d_sum += diff
             d_sumsq += diff * diff
             q_sum += q_row
+
+    _drive_ensemble(params, 0, m, first, n_steps, step, observe)
 
     times = dt * np.arange(n_steps + 1)
     mean_p = p_sum / m

@@ -2,7 +2,7 @@
 
 Subcommands: trajectory, sweep, bayes, bloch, check.  Each option is
 declared once, as a row of ``ROOT_OPTIONS`` (the SimParams fields,
-record_path, path_stride and threads, shared by every subcommand) or of
+path_stride and threads, shared by every subcommand) or of
 its subcommand's ``COMMANDS`` entry; the rows give the flags, the config
 keys, the parsers and the defaults.  Settings come from an optional JSON
 config file plus flags; precedence is flags, then the subcommand's block
@@ -185,7 +185,6 @@ ROOT_OPTIONS = (
     Option("noise_kind", _text, "normal", "per-step noise distribution",
            tuple(kind.value for kind in NoiseKind)),
     Option("master_seed", _integer, 0, "master seed of the per-trajectory streams"),
-    Option("record_path", _parse_bool, True, "record the path; trajectory needs true"),
     Option("path_stride", _count, 1, "record every k-th step of the path"),
     Option("threads", _count, _threads_from_env,
            "worker processes (default: COLLAPSE_SIM_THREADS, else 1)"),
@@ -247,8 +246,6 @@ def _settings(args, cfg: dict) -> argparse.Namespace:
 
 
 def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
-    if not s.record_path:
-        raise ConfigError("the trajectory subcommand requires record_path=true")
     if s.index < 0:
         raise ConfigError("trajectory index must be nonnegative")
 
@@ -293,6 +290,11 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
 
     if s.m < 1:
         raise ConfigError("m must be a positive integer")
+    # The fit's own input checks, made before the sweep rather than after it.
+    if s.n_min < 4:
+        raise ConfigError("n_min must be at least 4")
+    if sum(n >= s.n_min for n in s.n_list) < 3:
+        raise ConfigError(f"the fit needs at least 3 sizes with N >= n_min ({s.n_min})")
     table = scaling_sweep(s.n_list, params, s.m, workers=s.threads)
     _write_csv(
         s.output,

@@ -26,8 +26,9 @@ exactly 2.  The clamping bias is O(dt) and vanishes under refinement.
 Cross-site reductions use sorted summation so that relabeling the sites
 (and their noise components alike) commutes with a step bitwise.
 
-Every experiment steps its trajectories through one block driver,
-``_drive_block``, as the rows of one array; ``run_trajectory`` is a
+Every ensemble experiment is an observer of one call, ``_drive_ensemble``,
+which cuts the trajectories into blocks and steps each block through
+``_drive_block`` as the rows of one array; ``run_trajectory`` is a
 one-row block of it.
 """
 
@@ -267,13 +268,12 @@ class _BlockNoise:
         self._slot = None
 
 
-def _block_streams(seed: int, start: int, count: int) -> list:
-    """The streams of trajectories [start, start + count): row i of the
-    block draws from ``derive_stream(seed, start + i)``."""
-    return [derive_stream(seed, i) for i in range(start, start + count)]
+def _horizon_steps(t: float, dt: float) -> int:
+    """Whole steps of size ``dt`` within time ``t``, forgiving rounding."""
+    return int(math.floor(t / dt + 1e-9))
 
 
-def _drive_block(params: SimParams, streams: list, steps: int,
+def _drive_block(params: SimParams, streams: list, live: np.ndarray, steps: int,
                  state: np.ndarray, step, observe) -> None:
     """Step one trajectory per stream together, as the rows of one array.
 
@@ -282,12 +282,12 @@ def _drive_block(params: SimParams, streams: list, steps: int,
     noise from ``streams[i]``, and ``step(state, noise, dt)`` advances all
     live rows by one step.  Before the first step and after each one,
     ``observe(k, state, live)`` sees the state after k steps; ``live``
-    holds the rows' indices in the block.  It is also the stop rule: it
-    returns a mask of the rows that go on, or None to keep them all.  The
-    block ends after ``steps`` steps or once no row is left.
+    holds the live rows' trajectory indices, which start as the given
+    ``live``.  It is also the stop rule: it returns a mask of the rows
+    that go on, or None to keep them all.  The block ends after ``steps``
+    steps or once no row is left.
     """
     noise = _BlockNoise(params.noise_kind, state.shape[-1], streams, steps)
-    live = np.arange(len(streams))
     k = 0
     while True:
         keep = observe(k, state, live)
@@ -299,6 +299,24 @@ def _drive_block(params: SimParams, streams: list, steps: int,
             return
         k += 1
         state = step(state, noise.take(), params.dt)
+
+
+def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
+                    steps: int, step, observe) -> None:
+    """Run trajectories [start, stop) through ``_drive_block``, ``_BLOCK`` at a time.
+
+    Trajectory i draws from ``derive_stream(params.master_seed, i)`` and
+    starts from ``first`` (an (n,) or a (3, n) row), repeated along a new
+    second-to-last axis.  Blocks run in index order; the observer sees
+    trajectory indices in ``live``.  No trajectory's bits depend on the
+    block or the range it runs in.
+    """
+    first = np.expand_dims(first, -2)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        streams = [derive_stream(params.master_seed, i) for i in range(lo, hi)]
+        _drive_block(params, streams, np.arange(lo, hi), steps,
+                     np.repeat(first, hi - lo, axis=-2), step, observe)
 
 
 @dataclass
@@ -357,7 +375,7 @@ def run_trajectory(
         raise ValueError("path_stride must be >= 1")
     n = params.n_sites
     dt = params.dt
-    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+    max_steps = _horizon_steps(params.t_max, dt)
     times: list[float] = []
     states: list[np.ndarray] = []
     end: dict = {}
@@ -373,7 +391,7 @@ def run_trajectory(
         return ~done if done[0] else None
 
     start = _start_state(n, initial)
-    _drive_block(params, [stream], max_steps, start[None], euler_step, observe)
+    _drive_block(params, [stream], np.arange(1), max_steps, start[None], euler_step, observe)
     return TrajectoryResult(
         collapse_time=None if end["winner"] is None else end["steps"] * dt,
         winner=end["winner"],

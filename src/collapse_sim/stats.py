@@ -4,7 +4,7 @@ Everything here reduces to many independent trajectories.  Reproducibility
 rests on one rule: trajectory i of a run always uses the stream derived
 from (master_seed, i), and aggregation happens in index order over the
 complete result arrays.  Worker processes only change who computes which
-block, never the numbers, so any statistic is a pure function of its
+range, never the numbers, so any statistic is a pure function of its
 inputs and the seed.
 
 The headline experiment sweeps the register size N and fits the mean
@@ -25,7 +25,7 @@ from scipy.stats import linregress
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import SimParams, derive_seed, derive_stream  # noqa: F401
-from .sde import _BLOCK, _block_streams, _collapsed, _drive_block, _start_state, euler_step
+from .sde import _collapsed, _drive_ensemble, _horizon_steps, _start_state, euler_step
 
 __all__ = [
     "CollapseStats",
@@ -120,11 +120,10 @@ class FitResult:
 def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Collapse times and winners of trajectories start .. start + count - 1.
 
-    A row leaves the block as soon as it collapses.  Row i gives the same
+    A trajectory stops as soon as it collapses.  Entry i gives the same
     bits as ``run_trajectory`` on stream (master_seed, start + i).
     """
     params, start, count, initial = args
-    max_steps = int(math.floor(params.t_max / params.dt + 1e-9))
     times = np.full(count, np.nan)
     winners = np.full(count, -1, dtype=np.int64)
 
@@ -132,13 +131,13 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
         done, site = _collapsed(state, params.delta)
         if not done.any():
             return None
-        times[live[done]] = k * params.dt
-        winners[live[done]] = site
+        idx = live[done] - start
+        times[idx] = k * params.dt
+        winners[idx] = site
         return ~done
 
-    first = _start_state(params.n_sites, initial)
-    _drive_block(params, _block_streams(params.master_seed, start, count), max_steps,
-                 np.tile(first, (count, 1)), euler_step, collapse)
+    _drive_ensemble(params, start, start + count, _start_state(params.n_sites, initial),
+                    _horizon_steps(params.t_max, params.dt), euler_step, collapse)
     return times, winners
 
 
@@ -151,9 +150,9 @@ def run_ensemble(
     """Collapse-time statistics over m independent trajectories.
 
     Trajectory i always runs on the stream derived from
-    (params.master_seed, i); with workers > 1 the index blocks are farmed
-    out to processes, and the concatenated results are identical to the
-    serial ones.
+    (params.master_seed, i); with workers > 1 the indices are split into
+    contiguous ranges farmed out to processes, and the concatenated
+    results are identical to the serial ones.
     """
     if m < 1:
         raise ValueError("need at least one realization")
@@ -161,18 +160,16 @@ def run_ensemble(
         raise ValueError("workers must be positive")
     initial = _start_state(params.n_sites, initial)
 
-    blocks = [
-        (params, start, min(_BLOCK, m - start), initial)
-        for start in range(0, m, _BLOCK)
-    ]
-    if workers == 1 or len(blocks) == 1:
-        parts = [_run_block(b) for b in blocks]
+    parts = min(workers, m)
+    if parts == 1:
+        times, winners = _run_block((params, 0, m, initial))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, blocks))
-
-    times = np.concatenate([p[0] for p in parts])
-    winners = np.concatenate([p[1] for p in parts])
+        cuts = [m * w // parts for w in range(parts + 1)]
+        ranges = [(params, lo, hi - lo, initial) for lo, hi in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            results = list(pool.map(_run_block, ranges))
+        times = np.concatenate([r[0] for r in results])
+        winners = np.concatenate([r[1] for r in results])
     collapsed = ~np.isnan(times)
     k = int(collapsed.sum())
     if k > 0:
@@ -213,18 +210,14 @@ def scaling_sweep(
         raise ValueError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    rows = []
-    for n in n_list:
-        row_params = SimParams(
-            n_sites=n,
-            dt=params.dt,
-            delta=params.delta,
-            t_max=None,
-            noise_kind=params.noise_kind,
-            master_seed=derive_seed(params.master_seed, n),
-        )
-        rows.append(run_ensemble(row_params, m, workers=workers))
+    rows = [run_ensemble(_row_params(params, n), m, workers=workers) for n in n_list]
     return SweepTable(rows=tuple(rows))
+
+
+def _row_params(params: SimParams, n: int) -> SimParams:
+    """The size-n row of an N sweep: seed (params.master_seed, n), default horizon."""
+    seed = derive_seed(params.master_seed, n)
+    return replace(params, n_sites=n, t_max=None, master_seed=seed)
 
 
 def fit_lnln(table: SweepTable, n_min: int = 4) -> FitResult:
@@ -289,8 +282,8 @@ def correlation_bound_check(
 
     The diffusion is integrated without any collapse stopping rule, since
     the moment inequality concerns the raw process.  Grid times snap to
-    the nearest step.  All m trajectories start uniform, the situation
-    the bound addresses.
+    the nearest step; times past ``params.t_max`` are rejected.  All m
+    trajectories start uniform, the situation the bound addresses.
     """
     if m < 2:
         raise ValueError("need at least two realizations for standard errors")
@@ -301,6 +294,8 @@ def correlation_bound_check(
         raise ValueError("grid times must be finite")
     if t_grid[0] < 0.0:
         raise ValueError("grid times must be nonnegative")
+    if t_grid[-1] > params.t_max:
+        raise ValueError("grid times must not exceed t_max")
     n = params.n_sites
     if n < 2:
         raise ValueError("pairwise moments need at least two sites")
@@ -331,11 +326,7 @@ def correlation_bound_check(
                     v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
                 )
 
-    uniform = np.full(n, 2.0 / n)
-    for start in range(0, m, _BLOCK):
-        count = min(_BLOCK, m - start)
-        _drive_block(params, _block_streams(params.master_seed, start, count), total_steps,
-                     np.tile(uniform, (count, 1)), euler_step, record)
+    _drive_ensemble(params, 0, m, np.full(n, 2.0 / n), total_steps, euler_step, record)
 
     mean_pair = sum_mean / m
     var_mean = np.maximum(sumsq_mean / m - mean_pair**2, 0.0)
@@ -412,52 +403,41 @@ def initial_step_experiment(
 
     Integrates the raw diffusion to the horizon with no stopping rule and
     records the running maximum of V_1 minus its starting value.  Rejects
-    horizons shorter than one step.
+    horizons shorter than one step or longer than ``params.t_max``.  Row
+    N runs on the seed derived from (params.master_seed, N).
     """
-    n_list = list(n_list)
+    n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")
     if horizon < params.dt:
         raise ValueError("horizon must cover at least one step")
+    if horizon > params.t_max:
+        raise ValueError("horizon must not exceed t_max")
     if m < 1:
         raise ValueError("need at least one realization")
-    if any(int(n) < 1 for n in n_list):
+    if any(n < 1 for n in n_list):
         raise ValueError("register sizes must be >= 1")
-    dt = params.dt
-    steps = int(math.floor(horizon / dt + 1e-9))
+    steps = _horizon_steps(horizon, params.dt)
     means = np.empty(len(n_list))
     stderrs = np.empty(len(n_list))
     for row, n in enumerate(n_list):
-        seed = derive_seed(params.master_seed, int(n))
-        row_params = replace(params, n_sites=int(n))
-        rises = np.concatenate([
-            _max_rise(row_params, seed, start, min(_BLOCK, m - start), steps)
-            for start in range(0, m, _BLOCK)
-        ])
+        v0 = 2.0 / n
+        rises = np.zeros(m)
+
+        def rise(k, state, live):
+            # No trajectory stops early, so a block's indices are contiguous.
+            best = rises[live[0]:live[-1] + 1]
+            up = state[:, 0] - v0
+            np.copyto(best, up, where=up > best)
+
+        _drive_ensemble(_row_params(params, n), 0, m, np.full(n, v0), steps, euler_step, rise)
         means[row] = rises.mean()
         stderrs[row] = rises.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
     return StepSizeReport(
-        n_values=np.asarray([int(n) for n in n_list]),
-        horizon=steps * dt,
+        n_values=np.asarray(n_list),
+        horizon=steps * params.dt,
         realizations=m,
         mean_rise=means,
         stderr_rise=stderrs,
     )
 
-
-def _max_rise(params: SimParams, seed: int, start: int, count: int, steps: int):
-    """Running maximum of V_1 - V_1(0) over ``steps`` steps, per trajectory.
-
-    Trajectories start .. start + count - 1 of the row seeded ``seed``
-    start uniform and are stepped together as the rows of one array.
-    """
-    v0 = 2.0 / params.n_sites
-    best = np.zeros(count)
-
-    def rise(k, state, live):
-        up = state[:, 0] - v0
-        np.copyto(best, up, where=up > best)
-
-    _drive_block(params, _block_streams(seed, start, count), steps,
-                 np.full((count, params.n_sites), v0), euler_step, rise)
-    return best

@@ -55,7 +55,7 @@ class TestTrajectory:
     def test_record_path_cannot_be_disabled(self, capsys):
         rc = main(["trajectory", "--record-path", "false"])
         assert rc == 2
-        assert "record_path" in capsys.readouterr().err
+        assert "--record-path" in capsys.readouterr().err
 
     def test_custom_output_and_index(self):
         rc = main(
@@ -141,6 +141,7 @@ class TestSweep:
             ["--n-list", "4,8,inf", "--m", "5"],
             ["--n-list", "4.7,8,16", "--m", "5"],
             ["--mode", "step", "--n-list", "2.5", "--m", "5"],
+            ["--mode", "step", "--m", "2", "--t-max", "1", "--horizon", "1.5"],
         ],
         ids=[
             "n-list-not-increasing",
@@ -151,6 +152,7 @@ class TestSweep:
             "n-list-inf",
             "n-list-fraction",
             "step-n-list-fraction",
+            "step-horizon-past-t-max",
         ],
     )
     def test_bad_sweep_input_is_a_usage_error(self, argv, capsys):
@@ -159,6 +161,17 @@ class TestSweep:
         assert rc == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n-list", "4,8,16", "--n-min", "2"], ["--n-list", "2,3,4"]],
+        ids=["n-min-below-4", "too-few-sizes-above-n-min"],
+    )
+    def test_fit_inputs_checked_before_the_sweep(self, argv, capsys):
+        rc = main(["sweep", *argv, "--m", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not Path("sweep.csv").exists()
 
     def test_step_mode(self):
         rc = main(
@@ -339,8 +352,10 @@ def test_non_finite_time_is_a_usage_error(argv, capsys):
         ([], "required: command"),
         (["launch"], "invalid choice: 'launch'"),
         (["trajectory", "--noise-kind", "gaussian"], "argument --noise-kind"),
+        (["check", "--m", "5", "--t-max", "1", "--t-grid", "0,1.5"], "t_max"),
     ],
-    ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice"],
+    ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice",
+         "check-grid-past-t-max"],
 )
 def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
     rc = main(argv)

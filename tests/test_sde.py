@@ -390,8 +390,18 @@ def _package_imports(name):
     return found
 
 
+def _imported_names(name):
+    """Names that ``collapse_sim/<name>.py`` imports with ``from ... import``."""
+    source = Path(collapse_sim.__file__).with_name(f"{name}.py").read_text()
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_layering():
     # core <- sde <- {stats, bloch}: the stepper and its block driver sit
     # below every experiment that drives them.
     assert _package_imports("sde") == {"core"}
     assert "stats" not in _package_imports("bloch")
+    # Only sde cuts ensembles into blocks; the experiments are observers.
+    for name in ("stats", "bloch"):
+        assert not _imported_names(name) & {"_BLOCK", "_drive_block", "_block_streams"}

@@ -322,6 +322,13 @@ class TestBoundCheck:
         with pytest.raises(ValueError):
             correlation_bound_check(SimParams(n_sites=1, dt=0.04), 10, [0.0])
 
+    def test_grid_past_horizon_rejected(self):
+        # The safety horizon bounds the step count of the check too.
+        p = SimParams(n_sites=4, dt=0.04, t_max=1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            correlation_bound_check(p, 10, [0.0, 1.5])
+        assert correlation_bound_check(p, 10, [0.0, 1.0]).times[-1] == 1.0
+
 
 class TestStepExperiment:
     def test_horizon_validation(self):
@@ -344,6 +351,12 @@ class TestStepExperiment:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             initial_step_experiment([], SimParams(n_sites=2, dt=0.04), 1.0, 8)
+
+    def test_horizon_past_t_max_rejected(self):
+        p = SimParams(n_sites=2, dt=0.04, t_max=1.0)
+        with pytest.raises(ValueError, match="t_max"):
+            initial_step_experiment([2, 4], p, horizon=1.5, m=4)
+        assert initial_step_experiment([2, 4], p, horizon=1.0, m=4).horizon == 1.0
 
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):
