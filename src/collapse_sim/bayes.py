@@ -20,10 +20,10 @@ results finite for records up to |R| of order 1e4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import derive_stream
 
@@ -177,13 +177,14 @@ def collapse_criterion(
         return False
     log_k = np.log(1.0 - delta / 2.0) - np.log(delta / 2.0)
     log_self = 2.0 * record.r[n] + np.log(weights[n])
-    others = np.ones(size, dtype=bool)
-    others[n] = False
-    if not np.any(weights[others] > 0.0):
+    # Sites without weight are left out, so their records cannot set the shift.
+    rest = weights > 0.0
+    rest[n] = False
+    if not np.any(rest):
         return True
-    log_rest = float(
-        logsumexp(2.0 * record.r[others], b=weights[others])
-    )
+    exponents = 2.0 * record.r[rest]
+    top = exponents.max()
+    log_rest = top + math.log(np.sum(weights[rest] * np.exp(exponents - top)))
     return bool(log_self >= log_k + log_rest)
 
 

@@ -39,6 +39,9 @@ _SQRT3 = math.sqrt(3.0)
 
 STATE_SUM_ATOL = 1e-9
 
+# Step indices beyond 2**53 are not exact floats, so k * dt stops naming step k.
+_MAX_STEPS = 2.0**53
+
 
 class NoiseKind(str, enum.Enum):
     """The three zero-mean, unit-variance per-step noise distributions."""
@@ -94,6 +97,8 @@ class SimParams:
             raise ValueError("t_max must be finite")
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
+        if self.t_max / self.dt >= _MAX_STEPS:
+            raise ValueError("t_max / dt must be below 2**53 steps")
         if not isinstance(self.master_seed, int):
             raise ValueError("master_seed must be an integer")
 

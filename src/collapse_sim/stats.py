@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import linregress
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import SimParams, derive_seed, derive_stream  # noqa: F401
@@ -225,7 +224,9 @@ def fit_lnln(table: SweepTable, n_min: int = 4) -> FitResult:
 
     Uses rows with N >= n_min that kept their exceedance rate under 1%.
     n_min below 4 is rejected because ln ln N is zero or negative there
-    and the regressor loses meaning.
+    and the regressor loses meaning.  The arithmetic follows
+    ``linregress`` step for step (biased moments from ``np.cov``, r
+    clamped to [-1, 1]), so all four fields equal its results bitwise.
     """
     if n_min < 4:
         raise ValueError("n_min must be at least 4")
@@ -237,13 +238,14 @@ def fit_lnln(table: SweepTable, n_min: int = 4) -> FitResult:
     if float(np.ptp(y)) == 0.0:
         # Degenerate response: horizontal line, no explained variance.
         return FitResult(a=0.0, b=float(y[0]), r_squared=0.0, slope_stderr=0.0)
-    fit = linregress(x, y)
-    r2 = float(fit.rvalue) ** 2
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r2 = float(min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)) ** 2
+    slope = ssxym / ssxm
     return FitResult(
-        a=float(fit.slope),
-        b=float(fit.intercept),
+        a=float(slope),
+        b=float(np.mean(y) - slope * np.mean(x)),
         r_squared=r2,
-        slope_stderr=float(fit.stderr),
+        slope_stderr=float(np.sqrt((1 - r2) * ssym / ssxm / (x.size - 2))),
     )
 
 

@@ -151,6 +151,19 @@ class TestCollapseCriterion:
         rec = ReadoutRecord(np.array([50.0, 0.0, -3.0]), 1.0, 1.0)
         assert collapse_criterion(rec, 0, 0.01)
 
+    def test_large_records_stay_finite(self):
+        # The max shift keeps exp() in range for |R| up to about 1e4;
+        # only underflow of the losing terms to zero is expected.
+        with np.errstate(all="raise", under="ignore"):
+            wins = ReadoutRecord(np.array([1e4, 0.0, -1e4]), 1.0, 1.0)
+            assert collapse_criterion(wins, 0, 0.01)
+            loses = ReadoutRecord(np.array([0.0, 1e4]), 1.0, 1.0)
+            assert not collapse_criterion(loses, 0, 0.01)
+            # A site without weight takes no part, however large its record.
+            tied = ReadoutRecord(np.array([0.0, 1e4, 0.0]), 1.0, 1.0)
+            amps = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+            assert not collapse_criterion(tied, 0, 0.01, alpha0=amps)
+
     def test_delta_validated(self):
         rec = ReadoutRecord(np.zeros(2), 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -365,6 +365,31 @@ def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--m", "5", "--t-max", "1e300", "--t-grid", "0,1e300"],
+        ["check", "--m", "5", "--dt", "1e-300", "--t-grid", "0,1"],
+        ["sweep", "--mode", "step", "--m", "4", "--n-list", "2,4",
+         "--t-max", "1e300", "--horizon", "1e300"],
+    ],
+    ids=["check-huge-t-max", "check-tiny-dt", "step-huge-t-max"],
+)
+def test_step_count_past_2_pow_53_is_a_usage_error(argv, subprocess_env):
+    # A child process, so a command that never ends fails the test at the
+    # timeout instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "collapse_sim", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "2**53" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 class TestConfig:
     def test_root_keys_apply(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -540,6 +565,22 @@ class TestEntrypoints:
             [exe, "--help"], capture_output=True, text=True, env=subprocess_env
         )
         assert_help_lists_subcommands(proc)
+
+    def test_import_loads_no_scipy(self, subprocess_env):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, collapse_sim.cli; "
+                "print(*[m for m in sys.modules"
+                " if m == 'scipy' or m.startswith('scipy.')])",
+            ],
+            capture_output=True,
+            text=True,
+            env=subprocess_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_declared_console_script(self, subprocess_env):
         tomllib = pytest.importorskip("tomllib")

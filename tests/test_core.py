@@ -53,6 +53,17 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(**kwargs)
 
+    def test_step_count_below_2_pow_53(self):
+        # Past 2**53 steps k * dt no longer names step k.
+        assert SimParams(n_sites=2, dt=1.0, t_max=2.0**53 - 1.0).t_max == 2.0**53 - 1.0
+        for kwargs in (
+            dict(dt=1.0, t_max=2.0**53),
+            dict(dt=0.04, t_max=1e300),
+            dict(dt=1e-300),
+        ):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                SimParams(n_sites=2, **kwargs)
+
     def test_noise_kind_coercion(self):
         assert SimParams(n_sites=2, noise_kind="bernoulli").noise_kind is NoiseKind.BERNOULLI
         assert SimParams(n_sites=2, noise_kind=NoiseKind.UNIFORM).noise_kind is NoiseKind.UNIFORM

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from collapse_sim.core import NoiseKind, SimParams, derive_seed, derive_stream, init_weighted
 from collapse_sim.sde import run_trajectory
@@ -278,6 +279,42 @@ class TestFit:
         rows = tuple(make_stats(n, 1.0) for n in (4, 16, 64))
         with pytest.raises(ValueError):
             fit_lnln(SweepTable(rows=rows), n_min=3)
+
+    def test_bitwise_equal_to_linregress(self):
+        # Random tables with means over six decades, some rows dropped by
+        # fit_valid or by N < 4, and exactly linear tables, whose r lands
+        # on the clamp to +-1.
+        rng = np.random.default_rng(2024)
+        clamped = 0
+        for case in range(3000):
+            k = int(rng.integers(3, 12))
+            sizes = np.sort(rng.choice(np.arange(2, 5001), size=k, replace=False))
+            lnln = np.log(np.log(np.maximum(sizes, 3)))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            a, b = rng.uniform(-2.0, 2.0, size=2)
+            means = scale * (a * lnln + b + 2.0)
+            if case % 3:
+                means = means * np.exp(rng.normal(0.0, 0.1, size=k))
+            exceeded = np.where(rng.random(k) < 0.2, 5, 0)
+            rows = [
+                make_stats(int(n), float(t), exceeded=int(e))
+                for n, t, e in zip(sizes, means, exceeded)
+            ]
+            kept = [r for r in rows if r.n_sites >= 4 and r.fit_valid]
+            if len(kept) < 3:
+                continue
+            ref = linregress(
+                [math.log(math.log(r.n_sites)) for r in kept],
+                [r.mean_time for r in kept],
+            )
+            clamped += abs(float(ref.rvalue)) == 1.0
+            fit = fit_lnln(SweepTable(rows=tuple(rows)))
+            got = np.array([fit.a, fit.b, fit.r_squared, fit.slope_stderr])
+            want = np.array(
+                [ref.slope, ref.intercept, float(ref.rvalue) ** 2, ref.stderr]
+            )
+            assert got.tobytes() == want.tobytes(), (case, got, want)
+        assert clamped > 0
 
 
 class TestBoundCheck:
