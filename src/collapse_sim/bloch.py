@@ -326,11 +326,17 @@ def purity_trace(
     trajectory contributes its site-averaged purity at every step and the
     difference between the realized purity change and the closed-form
     expectation computed from the pre-step state.
+
+    ``initial``, when given, is the start of every trajectory and carries
+    its own energy, tunneling and tau_m, which then override the keyword
+    arguments; its size must equal ``params.n_sites``.
     """
     if m < 1:
         raise ValueError("need at least one realization")
     if n_steps < 1:
         raise ValueError("need at least one step")
+    if initial is not None and initial.n_sites != params.n_sites:
+        raise ValueError("initial state size does not match n_sites")
     template = initial if initial is not None else single_excitation_uniform(
         params.n_sites, energy, tunneling, tau_m
     )

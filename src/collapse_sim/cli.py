@@ -32,7 +32,7 @@ import numpy as np
 
 from .bayes import born_frequencies
 from .bloch import purity_trace, twin_deviation
-from .core import NoiseKind, SimParams, derive_stream
+from .core import NoiseKind, SimParams, derive_stream, init_weighted
 from .stats import (
     correlation_bound_check,
     fit_lnln,
@@ -327,10 +327,7 @@ def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
     if s.weights is None:
         prob = np.full(params.n_sites, 1.0 / params.n_sites)
     else:
-        prob = np.asarray(s.weights)
-        if prob.size == 0 or np.any(prob < 0) or prob.sum() <= 0:
-            raise ConfigError("weights must be nonnegative with a positive sum")
-        prob = prob / prob.sum()
+        prob = init_weighted(s.weights) / 2.0
 
     result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
     _write_csv(

@@ -20,8 +20,11 @@ and a trajectory is declared collapsed once some site reaches
 
 A finite Euler step can overshoot the simplex even though the continuous
 flow cannot, so every step ends with a boundary repair: components are
-clamped to ``[0, 2]`` and the remaining ones rescaled so the total is
-exactly 2.  The clamping bias is O(dt) and vanishes under refinement.
+clamped to ``[0, 2]``, the budget left by sites clamped at 0 goes to the
+free ones, and the row is rescaled so its total is exactly 2.  All rows
+of a block are repaired together, grouped by their number of clamped
+sites, and each comes out with the same bits as on its own.  The
+clamping bias is O(dt) and vanishes under refinement.
 
 Cross-site reductions use sorted summation so that relabeling the sites
 (and their noise components alike) commutes with a step bitwise.
@@ -57,16 +60,10 @@ _BLOCK = 256
 _DRAW_CAP = 1 << 17
 
 
-def _ordered_sum(values: np.ndarray) -> float:
-    # Summing in sorted order makes the reduction invariant under any
-    # relabeling of the sites, not just up to rounding.
-    return float(np.sort(values).sum())
-
-
 def _row_sums(values: np.ndarray) -> np.ndarray:
     # The sorted sum along the last axis of a C-contiguous array.  Each row
     # is then summed as one contiguous run, with the same pairwise grouping
-    # as ``_ordered_sum`` on that row alone; a strided row would be grouped
+    # as the sorted sum of that row alone; a strided row would be grouped
     # differently and could differ in the last bit.
     return np.sort(values, axis=-1).sum(axis=-1)
 
@@ -100,67 +97,50 @@ def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repair_row(raw: np.ndarray) -> np.ndarray:
-    """Project one stepped state back onto [0, 2]^n with total exactly 2.
-
-    Out-of-range components are clamped and the remaining budget is spread
-    over the untouched ones in proportion to their current values.  A final
-    uniform rescale removes whatever rounding residue is left, so the
-    invariant holds to machine precision after every step.
-    """
-    w = np.clip(raw, 0.0, 2.0)
-    clamped = (raw < 0.0) | (raw > 2.0)
-    if clamped.any():
-        free = ~clamped
-        budget = 2.0 - _ordered_sum(w[clamped])
-        s_free = _ordered_sum(w[free])
-        if budget <= 0.0:
-            # Everything at or beyond the caps; fall back to a plain
-            # proportional rescale of the clipped vector.
-            total = _ordered_sum(w)
-            if total > 0.0:
-                w = w * (2.0 / total)
-            else:
-                w = np.full_like(w, 2.0 / w.size)
-            return w
-        if s_free > 0.0:
-            w[free] *= budget / s_free
-        else:
-            n_free = int(free.sum())
-            if n_free > 0:
-                w[free] = budget / n_free
-    total = _ordered_sum(w)
-    if total > 0.0:
-        w *= 2.0 / total
-    else:
-        w = np.full_like(w, 2.0 / w.size)
-    return w
-
-
 def _repair_simplex(raw: np.ndarray) -> np.ndarray:
-    """Repair every row of a C-contiguous (rows, n) array of stepped states.
+    """Project each row of a C-contiguous (rows, n) array onto the simplex.
 
-    A row that stayed inside [0, 2] with a positive total only needs the
-    final uniform rescale, which is done for all such rows at once.  Any
-    other row goes through :func:`_repair_row` on its own: spreading the
-    budget over a variable number of free sites per row cannot keep the
-    summation grouping of the one-row code, so those rows are not merged.
+    Every row follows one rule.  It is clipped to [0, 2].  If a site was
+    clamped and the budget ``2 - sum(clamped)`` is positive, the budget is
+    spread over the free sites, in proportion to their values or evenly
+    when they hold no mass.  The row is then rescaled to total exactly 2,
+    or set to the uniform point 2/n when its total is not positive.
+
+    Sums are sorted and taken over C-contiguous runs, so each row comes
+    out bit for bit as if repaired alone.  Rows that spread a budget are
+    taken together by their number of clamped sites c, so their free
+    values form one (rows, n - c) array; the only loop is over those c.
     """
+    n = raw.shape[-1]
     w = np.clip(raw, 0.0, 2.0)
-    # Clipping changed a component exactly where _repair_row would clamp.
-    bad = (w != raw).any(axis=1)
-    n_bad = np.count_nonzero(bad)
-    if n_bad < len(w):
-        total = _row_sums(w)
-        positive = total > 0.0
-        if not positive.all():
-            bad |= ~positive
-            n_bad = np.count_nonzero(bad)
-            total[bad] = 1.0
-        w *= (2.0 / total)[:, None]
-    if n_bad:
-        for r in bad.nonzero()[0]:
-            w[r] = _repair_row(raw[r])
+    lower = raw < 0.0
+    # Clamped sites hold exactly 0 or 2, so the budget is exact in any
+    # order: 2 while no site passed 2, and not positive once one did.  So
+    # a row spreads it only if it has sites clamped at 0, none at 2, and
+    # some free sites left; every other row gets the final rescale alone.
+    counts = lower.sum(axis=1)
+    counts[(raw > 2.0).any(axis=1)] = 0
+    for c in set(counts.tolist()) - {0, n}:
+        rows = counts == c
+        part = w[rows]
+        free = ~lower[rows]
+        values = part[free].reshape(-1, n - c)
+        s_free = _row_sums(values)
+        # No free mass: one unit on each free site, so the scale below
+        # spreads the budget evenly.
+        even = ~(s_free > 0.0)
+        values[even] = 1.0
+        s_free[even] = n - c
+        values *= (2.0 / s_free)[:, None]
+        part[free] = values.ravel()
+        w[rows] = part
+    total = _row_sums(w)
+    # A row without a positive total becomes the uniform point 2/n.
+    positive = total > 0.0
+    if not positive.all():
+        w[~positive] = 1.0
+        total[~positive] = n
+    w *= (2.0 / total)[:, None]
     return w
 
 

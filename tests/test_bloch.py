@@ -244,6 +244,11 @@ class TestPurityTrace:
         with pytest.raises(ValueError):
             purity_trace(params, 5, 0)
 
+    def test_rejects_initial_of_another_size(self):
+        params = SimParams(n_sites=8)
+        with pytest.raises(ValueError, match="initial state size does not match n_sites"):
+            purity_trace(params, 3, 2, energy=5.0, initial=single_excitation_uniform(4))
+
 
 class TestRowKernelBitwise:
     """The row-wise Bloch code against the one-register loops, bitwise."""
@@ -326,10 +331,10 @@ class TestRowKernelBitwise:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_purity_trace_initial_template(self, kind):
-        # The template's size, drive and repair count win over params and
-        # keywords; every trajectory starts from its repair count.
+        # The template's drive and repair count win over the keywords;
+        # every trajectory starts from its repair count.
         ball = random_ball_state(np.random.default_rng(8), 5)
         initial = BlochEnsemble(ball.x, ball.y, ball.z, 0.4, 0.9, 1.7, repairs=3)
-        params = SimParams(n_sites=2, dt=0.3, noise_kind=kind, master_seed=21)
+        params = SimParams(n_sites=5, dt=0.3, noise_kind=kind, master_seed=21)
         got = self.assert_trace_equal(params, 3, 6, energy=5.0, initial=initial)
         assert got.repairs > 3 * 3

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,15 @@ class TestBayes:
 
     def test_negative_weights_rejected(self):
         assert main(["bayes", "--weights", "0.5,-0.1"]) == 2
+
+    @pytest.mark.parametrize("weights", ["1,nan", "1,inf"])
+    def test_nonfinite_weights_rejected(self, weights, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bayes", "--weights", weights, "--m", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "weights must be finite" in err
+        assert "Warning" not in err
 
     def test_deterministic(self):
         argv = ["bayes", "--n-sites", "3", "--m", "300", "--master-seed", "4"]

@@ -12,6 +12,7 @@ import collapse_sim
 from collapse_sim.core import NoiseKind, SimParams, derive_stream, init_weighted, validate_state
 from collapse_sim.sde import (
     TrajectoryResult,
+    _repair_simplex,
     detect_collapse,
     euler_step,
     increment,
@@ -23,6 +24,7 @@ from reference import (
     reference_euler_step,
     reference_increment,
     reference_increment_1d,
+    reference_repair_simplex,
     reference_run_trajectory,
 )
 
@@ -202,6 +204,63 @@ class TestRowKernel:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             euler_step(np.ones((2, 3)), np.ones((3, 2)), 0.04)
+
+
+def _rare_rows(rng, n):
+    """A stepped (rows, n) block that mixes every kind of row the repair meets."""
+    rows = [random_simplex_state(rng, n) for _ in range(3)]
+    # Sites clamped at 0, two rows per clamp count, with free mass left.
+    for c in sorted({1, 2, 3, n // 2, n - 1} & set(range(1, n))):
+        for _ in range(2):
+            row = random_simplex_state(rng, n) + 0.05
+            row[rng.choice(n, c, replace=False)] = -rng.random(c)
+            rows.append(row)
+    # A site past 2 leaves no positive budget, alone or with clamps at 0.
+    row = random_simplex_state(rng, n)
+    row[rng.integers(n)] = 2.0 + rng.random()
+    rows.append(row)
+    row = rng.random(n) - 0.3
+    row[rng.integers(n)] = 2.5
+    rows.append(row)
+    # Every site clamped: all at 0, or mixed at 0 and 2.
+    rows.append(-rng.random(n) - 1e-3)
+    rows.append(np.where(rng.random(n) < 0.5, -0.5, 3.0))
+    # Clamps at 0 and no free mass, twice, then a zero total.
+    for _ in range(2):
+        row = np.zeros(n)
+        row[rng.integers(n)] = -0.2
+        rows.append(row)
+    rows.append(np.zeros(n))
+    # Exact 0 and 2 are inside the box and are not clamped.
+    row = random_simplex_state(rng, n)
+    row[rng.choice(n, min(n, 2), replace=False)] = [0.0, 2.0][: min(n, 2)]
+    rows.append(row)
+    row = random_simplex_state(rng, n)
+    row[0] = 0.0
+    row[-1] = -0.1
+    rows.append(row)
+    block = np.array(rows)
+    rng.shuffle(block)
+    return block
+
+
+class TestRepairSimplex:
+    """Every row of a block is repaired as the one-vector code repairs it, bitwise."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 129, 512])
+    def test_rare_rows_in_one_block(self, n):
+        rng = np.random.default_rng(1000 + n)
+        raw = _rare_rows(rng, n)
+        out = _repair_simplex(raw.copy())
+        for r in range(len(raw)):
+            assert np.array_equal(out[r], reference_repair_simplex(raw[r].copy())), r
+        assert np.all(out >= 0.0) and np.all(out <= 2.0)
+
+        # Relabelling the sites of a clamping block permutes its repair.
+        assert ((raw < 0.0) | (raw > 2.0)).any()
+        perm = rng.permutation(n)
+        moved = _repair_simplex(np.ascontiguousarray(raw[:, perm]))
+        assert np.array_equal(moved, out[:, perm])
 
 
 class TestDetectCollapse:
