@@ -16,6 +16,12 @@ oracle for the dynamics modules: same physics, disjoint numerics.
 
 All exponential reweighting is done with max-shifted exponents, keeping
 results finite for records up to |R| of order 1e4.
+
+`born_frequencies` draws record i from its own stream (seed, i), in
+index order, with the same calls as `sample_readouts`; it then conditions
+and tallies the records as the rows of fixed-size blocks.  Each row gets
+the bits the one-record functions give it, and the tally does not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-9
+# Records conditioned and tallied together by born_frequencies.
+_BLOCK_ROWS = 1024
 
 
 def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
@@ -49,6 +57,18 @@ def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > _NORM_ATOL:
         raise ValueError("amplitudes must satisfy sum |alpha|^2 = 1")
     return a
+
+
+def _check_times(t: float, tau_m: float) -> None:
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    if not tau_m > 0.0:
+        raise ValueError("tau_m must be positive")
+
+
+def _born_weights(a: np.ndarray) -> np.ndarray:
+    p = np.abs(a) ** 2
+    return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -66,10 +86,7 @@ class ReadoutRecord:
         if not np.all(np.isfinite(r)):
             raise ValueError("readout entries must be finite")
         object.__setattr__(self, "r", r)
-        if self.t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if not self.tau_m > 0.0:
-            raise ValueError("tau_m must be positive")
+        _check_times(self.t, self.tau_m)
 
     @property
     def n_sites(self) -> int:
@@ -78,9 +95,7 @@ class ReadoutRecord:
 
 def draw_latent_site(alpha0: np.ndarray, stream: np.random.Generator) -> int:
     """Sample the excited site with Born weights |alpha_n(0)|^2."""
-    a = _check_amplitudes(alpha0)
-    p = np.abs(a) ** 2
-    p = p / p.sum()
+    p = _born_weights(_check_amplitudes(alpha0))
     return int(stream.choice(p.size, p=p))
 
 
@@ -99,10 +114,7 @@ def sample_readouts_for_site(
     """
     if not 0 <= site < n_sites:
         raise ValueError("site index out of range")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if not tau_m > 0.0:
-        raise ValueError("tau_m must be positive")
+    _check_times(t, tau_m)
     if t == 0.0:
         return ReadoutRecord(np.zeros(n_sites), 0.0, tau_m)
     drift = t / tau_m
@@ -217,23 +229,67 @@ def born_frequencies(
     """Estimate outcome probabilities by direct record sampling.
 
     Draws m records, conditions the state on each, and assigns the run to
-    the site of maximal conditioned weight.  Per-run streams are derived
-    from the seed, so the tally does not depend on evaluation order.
+    the site of maximal conditioned weight.  Record i comes from the
+    stream derived from (seed, i), drawn in index order exactly as
+    `sample_readouts` draws it.  The records are conditioned and tallied
+    as the rows of blocks of at most _BLOCK_ROWS records, so memory stays
+    bounded whatever m is; each row gets the bits `conditional_state`
+    gives it, and integer counts add exactly, so the tally does not
+    depend on the block size or on evaluation order.
     """
     if m < 1:
         raise ValueError("need at least one run")
     a = _check_amplitudes(alpha0)
-    size = a.size
-    counts = np.zeros(size, dtype=np.int64)
+    _check_times(t, tau_m)
+    p = _born_weights(a)
+    counts = np.zeros(a.size, dtype=np.int64)
     unresolved = 0
-    for idx in range(m):
-        stream = derive_stream(seed, idx)
-        record = sample_readouts(a, t, tau_m, stream)
-        post = np.abs(conditional_state(a, record)) ** 2
-        top = post.max()
-        winners = np.flatnonzero(post == top)
-        if winners.size != 1:
-            unresolved += 1
-        else:
-            counts[winners[0]] += 1
+    for start in range(0, m, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, m)
+        post = _posterior_rows(a, _record_rows(p, t, tau_m, seed, start, stop))
+        top = post.max(axis=1, keepdims=True)
+        sole = np.count_nonzero(post == top, axis=1) == 1
+        counts += np.bincount(post.argmax(axis=1)[sole], minlength=a.size)
+        unresolved += (stop - start) - int(np.count_nonzero(sole))
     return BornResult(counts=counts, unresolved=unresolved, m=m)
+
+
+def _record_rows(
+    p: np.ndarray, t: float, tau_m: float, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Records start..stop-1 as (rows, N) rows, drawn like `sample_readouts`.
+
+    Only the draws loop: each stream gives its latent site, then its
+    signals, in index order.  The rows are then built at once, and each
+    has the bits `sample_readouts_for_site` gives that record.
+    """
+    rows, size = stop - start, p.size
+    sites = np.empty(rows, dtype=np.intp)
+    noise = np.empty((rows, size)) if t != 0.0 else None
+    for j in range(rows):
+        stream = derive_stream(seed, start + j)
+        sites[j] = stream.choice(size, p=p)
+        if noise is not None:
+            noise[j] = stream.standard_normal(size)
+    if noise is None:
+        return np.zeros((rows, size))
+    drift = t / tau_m
+    r = np.full((rows, size), -drift)
+    r[np.arange(rows), sites] = drift
+    r += np.sqrt(drift) * noise
+    if not np.all(np.isfinite(r)):
+        raise ValueError("readout entries must be finite")
+    return r
+
+
+def _posterior_rows(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|conditional_state(a, record)|^2 for every row of r, bit for bit.
+
+    Each row's norm is summed along the C-contiguous last axis, as one
+    run, so it has the bits of the one-record sum.
+    """
+    raw = a * np.exp(r - r.max(axis=1, keepdims=True))
+    norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=1))
+    if np.any(norm == 0.0):
+        raise ValueError("degenerate posterior: no support survives the record")
+    return np.abs(raw / norm[:, None]) ** 2

@@ -3,15 +3,22 @@
 The first group evaluates the update rules literally, with explicit double
 loops and no algebraic grouping, so agreement with the production code
 checks the grouped forms rather than re-running them.  The other groups
-keep the one-vector Euler kernel, the one-register Bloch step and the
-one-trajectory-at-a-time loops exactly as they were before they stepped
-rows together, as the bitwise reference for the row-wise code.
+keep the one-vector Euler kernel, the one-register Bloch step, the
+one-trajectory-at-a-time loops and the one-record Born tally exactly as
+they were before they worked on rows together, as the bitwise reference
+for the row-wise code.
 """
 
 import math
 
 import numpy as np
 
+from collapse_sim.bayes import (
+    BornResult,
+    _check_amplitudes,
+    conditional_state,
+    sample_readouts,
+)
 from collapse_sim.bloch import BlochEnsemble, single_excitation_uniform
 from collapse_sim.core import derive_stream, noise_sampler, validate_state
 from collapse_sim.sde import TrajectoryResult
@@ -511,3 +518,29 @@ def reference_run_trajectory(params, stream, initial=None, *, path_stride=None):
         path_times=np.asarray(times),
         path_states=np.asarray(states) if states else np.empty((0, n)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The one-record-at-a-time Born tally, kept verbatim from before the records
+# were conditioned and tallied as rows.  born_frequencies must give the same
+# counts and the same unresolved count.
+
+
+def reference_born_frequencies(alpha0, t, tau_m, m, seed):
+    if m < 1:
+        raise ValueError("need at least one run")
+    a = _check_amplitudes(alpha0)
+    size = a.size
+    counts = np.zeros(size, dtype=np.int64)
+    unresolved = 0
+    for idx in range(m):
+        stream = derive_stream(seed, idx)
+        record = sample_readouts(a, t, tau_m, stream)
+        post = np.abs(conditional_state(a, record)) ** 2
+        top = post.max()
+        winners = np.flatnonzero(post == top)
+        if winners.size != 1:
+            unresolved += 1
+        else:
+            counts[winners[0]] += 1
+    return BornResult(counts=counts, unresolved=unresolved, m=m)

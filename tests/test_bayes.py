@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import reference
+from collapse_sim import bayes
 from collapse_sim.core import derive_stream
 from collapse_sim.bayes import (
     BornResult,
@@ -15,10 +18,44 @@ from collapse_sim.bayes import (
     sample_readouts,
     sample_readouts_for_site,
 )
+from reference import reference_born_frequencies
 
 
 def uniform_amps(n):
     return np.full(n, 1.0 / math.sqrt(n))
+
+
+BLOCK = bayes._BLOCK_ROWS
+WEIGHTS_4 = np.sqrt([0.1, 0.2, 0.3, 0.4])
+
+# (alpha0, t, tau_m, m, seed) for the bitwise comparison with the
+# one-record reference tally.
+BORN_CASES = {
+    "uniform-8": (uniform_amps(8), 6.0, 1.0, 600, 202),
+    "uniform-64": (uniform_amps(64), 6.0, 1.0, 300, 11),
+    "weights-3": (np.sqrt([0.5, 0.3, 0.2]), 6.0, 1.0, 600, 303),
+    "weights-4": (WEIGHTS_4, 6.0, 1.0, 600, 7),
+    "point-mass": (np.array([0.0, 1.0, 0.0]), 2.0, 1.0, 200, 3),
+    "zero-weight-site": (np.sqrt([0.6, 0.0, 0.4]), 0.5, 1.0, 600, 13),
+    "complex-phases": (
+        np.exp(1j * np.array([0.3, 2.1, -1.2, 3.0])) * WEIGHTS_4, 1.0, 0.7, 600, 17,
+    ),
+    "time-zero": (uniform_amps(4), 0.0, 1.0, 64, 4),
+    "one-run": (WEIGHTS_4, 6.0, 1.0, 1, 19),
+    "several-blocks": (np.sqrt([0.5, 0.3, 0.2]), 0.8, 1.0, 2 * BLOCK + 37, 23),
+}
+
+
+class _RunawayStream:
+    """Stand-in stream: latent site 0, and a signal that puts site 1 far ahead."""
+
+    def choice(self, size, p):
+        return 0
+
+    def standard_normal(self, size):
+        z = np.zeros(size)
+        z[1] = 800.0
+        return z
 
 
 class TestReadoutRecord:
@@ -214,3 +251,85 @@ class TestBornFrequencies:
         res = born_frequencies(np.sqrt(prob), 50.0, 1.0, m, seed=12)
         se = np.sqrt(prob * (1.0 - prob) / m)
         assert np.all(np.abs(res.frequencies - prob) <= 5.0 * se)
+
+    @pytest.mark.parametrize("case", BORN_CASES)
+    def test_matches_one_record_reference(self, case):
+        got = born_frequencies(*BORN_CASES[case])
+        want = reference_born_frequencies(*BORN_CASES[case])
+        assert got.counts.dtype == want.counts.dtype
+        assert np.array_equal(got.counts, want.counts)
+        assert got.unresolved == want.unresolved
+        assert got.m == want.m
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tally_does_not_depend_on_block_size(self, monkeypatch, block):
+        args = (np.sqrt([0.5, 0.3, 0.2]), 0.8, 1.0, 100, 29)
+        want = born_frequencies(*args)
+        monkeypatch.setattr(bayes, "_BLOCK_ROWS", block)
+        got = born_frequencies(*args)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.unresolved == want.unresolved
+
+    @pytest.mark.parametrize(
+        "case", ["weights-4", "zero-weight-site", "complex-phases", "uniform-64", "time-zero"]
+    )
+    def test_rows_match_one_record_functions(self, case):
+        alpha, t, tau_m, _, seed = BORN_CASES[case]
+        start, m = 5, 40
+        p = bayes._born_weights(alpha)
+        r = bayes._record_rows(p, t, tau_m, seed, start, start + m)
+        post = bayes._posterior_rows(alpha, r)
+        assert r.flags.c_contiguous and post.shape == (m, alpha.size)
+        for j in range(m):
+            record = sample_readouts(alpha, t, tau_m, derive_stream(seed, start + j))
+            assert r[j].tobytes() == record.r.tobytes()
+            want = np.abs(conditional_state(alpha, record)) ** 2
+            assert post[j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((uniform_amps(3), 1.0, 1.0, 0, 1), "need at least one run"),
+            ((uniform_amps(3), -0.5, 1.0, 10, 1), "t must be nonnegative"),
+            ((uniform_amps(3), 1.0, 0.0, 10, 1), "tau_m must be positive"),
+            ((uniform_amps(3), 1.0, math.nan, 10, 1), "tau_m must be positive"),
+            ((np.array([1.0, 1.0]), 1.0, 1.0, 10, 1), "amplitudes must satisfy"),
+            ((uniform_amps(3), math.inf, 1.0, 10, 1), "readout entries must be finite"),
+        ],
+        ids=["no-runs", "negative-t", "zero-tau", "nan-tau", "unnormalised", "infinite-t"],
+    )
+    def test_rejects_like_reference(self, args, message):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=message) as got:
+                born_frequencies(*args)
+            with pytest.raises(ValueError) as want:
+                reference_born_frequencies(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_degenerate_posterior_rejected_like_reference(self, monkeypatch):
+        def runaway(seed, index):
+            return _RunawayStream()
+
+        monkeypatch.setattr(bayes, "derive_stream", runaway)
+        monkeypatch.setattr(reference, "derive_stream", runaway)
+        args = (np.array([1.0, 0.0]), 1.0, 1.0, 3, 0)
+        with pytest.raises(ValueError, match="degenerate posterior") as got:
+            born_frequencies(*args)
+        with pytest.raises(ValueError) as want:
+            reference_born_frequencies(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_memory_bounded_by_block(self, monkeypatch):
+        # Small blocks of long rows, so the row arrays dominate the peak.
+        monkeypatch.setattr(bayes, "_BLOCK_ROWS", 64)
+
+        def peak_bytes(m):
+            tracemalloc.start()
+            try:
+                born_frequencies(uniform_amps(512), 1.0, 1.0, m, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two_blocks = peak_bytes(2 * 64)
+        assert peak_bytes(6 * 64 + 1) < 1.1 * two_blocks

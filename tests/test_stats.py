@@ -100,6 +100,17 @@ class TestRunEnsemble:
         assert st.winner_histogram.shape == (3,)
         assert st.winner_histogram.sum() + st.horizon_exceeded == 200
 
+    def test_weighted_start_born_tallies(self):
+        # The winners of a weighted start follow the Born weights V(0)/2 at
+        # the default step, so a change to the clamp cannot skew them unseen.
+        w = np.array([0.5, 0.3, 0.2])
+        p = SimParams(n_sites=3, dt=1.0 / 25.0, delta=1e-2, master_seed=505)
+        st = run_ensemble(p, 10000, initial=init_weighted(w))
+        assert st.horizon_exceeded == 0
+        k = st.winner_histogram.sum()
+        z = (st.winner_histogram / k - w) / np.sqrt(w * (1.0 - w) / k)
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_rejects_bad_args(self):
         p = SimParams(n_sites=2, dt=0.04)
         with pytest.raises(ValueError):
