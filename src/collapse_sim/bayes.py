@@ -17,6 +17,8 @@ oracle for the dynamics modules: same physics, disjoint numerics.
 All exponential reweighting is done with max-shifted exponents, keeping
 results finite for records up to |R| of order 1e4.
 
+Records are built and conditioned as the rows of an array; the
+one-record functions are one-row callers of the same row functions.
 `born_frequencies` draws record i from its own stream (seed, i), in
 index order, with the same calls as `sample_readouts`; it then conditions
 and tallies the records as the rows of fixed-size blocks.  Each row gets
@@ -54,7 +56,7 @@ def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
     if a.ndim != 1 or a.size == 0:
         raise ValueError("amplitudes must be a nonempty 1-D vector")
     total = float(np.sum(np.abs(a) ** 2))
-    if abs(total - 1.0) > _NORM_ATOL:
+    if not abs(total - 1.0) <= _NORM_ATOL:
         raise ValueError("amplitudes must satisfy sum |alpha|^2 = 1")
     return a
 
@@ -115,12 +117,8 @@ def sample_readouts_for_site(
     if not 0 <= site < n_sites:
         raise ValueError("site index out of range")
     _check_times(t, tau_m)
-    if t == 0.0:
-        return ReadoutRecord(np.zeros(n_sites), 0.0, tau_m)
-    drift = t / tau_m
-    mean = np.full(n_sites, -drift)
-    mean[site] = drift
-    r = mean + np.sqrt(drift) * stream.standard_normal(n_sites)
+    noise = np.zeros(n_sites) if t == 0.0 else stream.standard_normal(n_sites)
+    r = _signal_rows(np.array([site]), noise[None], t, tau_m)[0]
     return ReadoutRecord(r, t, tau_m)
 
 
@@ -148,12 +146,7 @@ def conditional_state(alpha0: np.ndarray, record: ReadoutRecord) -> np.ndarray:
     a = _check_amplitudes(alpha0)
     if record.n_sites != a.size:
         raise ValueError("record length does not match amplitudes")
-    shifted = np.exp(record.r - record.r.max())
-    raw = a * shifted
-    norm = float(np.sqrt(np.sum(np.abs(raw) ** 2)))
-    if norm == 0.0:
-        raise ValueError("degenerate posterior: no support survives the record")
-    return raw / norm
+    return _conditional_rows(a, record.r[None])[0]
 
 
 def collapse_criterion(
@@ -246,7 +239,8 @@ def born_frequencies(
     unresolved = 0
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
-        post = _posterior_rows(a, _record_rows(p, t, tau_m, seed, start, stop))
+        r = _record_rows(p, t, tau_m, seed, start, stop)
+        post = np.abs(_conditional_rows(a, r)) ** 2
         top = post.max(axis=1, keepdims=True)
         sole = np.count_nonzero(post == top, axis=1) == 1
         counts += np.bincount(post.argmax(axis=1)[sole], minlength=a.size)
@@ -260,36 +254,46 @@ def _record_rows(
     """Records start..stop-1 as (rows, N) rows, drawn like `sample_readouts`.
 
     Only the draws loop: each stream gives its latent site, then its
-    signals, in index order.  The rows are then built at once, and each
-    has the bits `sample_readouts_for_site` gives that record.
+    signals (none at t = 0), in index order.  The rows are then built at
+    once by `_signal_rows`.
     """
     rows, size = stop - start, p.size
     sites = np.empty(rows, dtype=np.intp)
-    noise = np.empty((rows, size)) if t != 0.0 else None
+    noise = np.zeros((rows, size))
     for j in range(rows):
         stream = derive_stream(seed, start + j)
         sites[j] = stream.choice(size, p=p)
-        if noise is not None:
+        if t != 0.0:
             noise[j] = stream.standard_normal(size)
-    if noise is None:
-        return np.zeros((rows, size))
-    drift = t / tau_m
-    r = np.full((rows, size), -drift)
-    r[np.arange(rows), sites] = drift
-    r += np.sqrt(drift) * noise
+    r = _signal_rows(sites, noise, t, tau_m)
     if not np.all(np.isfinite(r)):
         raise ValueError("readout entries must be finite")
     return r
 
 
-def _posterior_rows(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|conditional_state(a, record)|^2 for every row of r, bit for bit.
+def _signal_rows(
+    sites: np.ndarray, noise: np.ndarray, t: float, tau_m: float
+) -> np.ndarray:
+    """`sample_readouts_for_site` records, one per row, from latent sites
+    (rows,) and standard normal draws (rows, N)."""
+    if t == 0.0:
+        return np.zeros(noise.shape)
+    drift = t / tau_m
+    r = np.full(noise.shape, -drift)
+    r[np.arange(sites.size), sites] = drift
+    r += np.sqrt(drift) * noise
+    return r
 
-    Each row's norm is summed along the C-contiguous last axis, as one
-    run, so it has the bits of the one-record sum.
+
+def _conditional_rows(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bayes-updated normalized amplitudes for every record row of r.
+
+    Applies a * exp(R) with each row's largest R subtracted first.  Each
+    row's norm is summed along the C-contiguous last axis, as one run, so
+    a row has the same bits whichever block it sits in.
     """
     raw = a * np.exp(r - r.max(axis=1, keepdims=True))
     norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=1))
     if np.any(norm == 0.0):
         raise ValueError("degenerate posterior: no support survives the record")
-    return np.abs(raw / norm[:, None]) ** 2
+    return raw / norm[:, None]

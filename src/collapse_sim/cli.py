@@ -11,7 +11,8 @@ row's default.  A config value goes through its flag's parser, so a JSON
 string reads like the flag's text; null leaves a key unset.
 
 Outputs are CSV tables with a header row and LF line endings, plus JSON
-summaries carrying a schema_version field.  Floats are printed with 17
+summaries whose first key is schema_version, all written by
+``_write_outputs``.  Floats are printed with 17
 significant digits so files round-trip and reruns are byte-identical.
 Exit codes: 0 success, 2 config error, 3 failed strict bound check.
 
@@ -58,13 +59,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
-
-
 def _render_json(value, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -78,21 +72,32 @@ def _render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         items = [_render_json(v, indent) for v in value]
         return "[" + ", ".join(items) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
+    if isinstance(value, str):
+        return json.dumps(value)
+    # JSON has no spelling for non-finite numbers.
+    if value is None or isinstance(value, (float, np.floating)) and not np.isfinite(value):
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        # JSON has no spelling for non-finite numbers.
-        return format(float(value), ".17g") if np.isfinite(value) else "null"
-    return json.dumps(value)
+    return _fmt(value)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_render_json(obj) + "\n")
+def _write_outputs(
+    output: str, header: list[str], rows, summary_output: str | None = None,
+    summary: dict | None = None,
+) -> None:
+    """Write the CSV table and, when given, the JSON summary.
+
+    The summary gets schema_version as its first key.  Each file written
+    is named on stdout as ``wrote <path>``.
+    """
+    with open(output, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+    print(f"wrote {output}")
+    if summary_output is not None:
+        with open(summary_output, "w", newline="\n") as fh:
+            fh.write(_render_json({"schema_version": SCHEMA_VERSION, **summary}) + "\n")
+        print(f"wrote {summary_output}")
 
 
 # Each parser reads a flag's text or a value of the JSON config file and
@@ -257,8 +262,7 @@ def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
         [t] + list(state - 1.0)
         for t, state in zip(result.path_times, result.path_states)
     )
-    _write_csv(s.output, header, rows)
-    print(f"wrote {s.output}")
+    _write_outputs(s.output, header, rows)
     if result.collapse_time is None:
         print("collapse_time=none winner=none")
     else:
@@ -269,23 +273,14 @@ def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
 def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
     if s.mode == "step":
         report = initial_step_experiment(s.n_list, params, horizon=s.horizon, m=s.m)
-        _write_csv(
+        _write_outputs(
             s.output,
             ["N", "mean_rise", "stderr", "realizations"],
             zip(report.n_values, report.mean_rise, report.stderr_rise,
                 [report.realizations] * len(s.n_list)),
-        )
-        _write_json(
             s.fit_output,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "mode": "step",
-                "horizon": report.horizon,
-                "realizations": report.realizations,
-            },
+            {"mode": "step", "horizon": report.horizon, "realizations": report.realizations},
         )
-        print(f"wrote {s.output}")
-        print(f"wrote {s.fit_output}")
         return 0
 
     if s.m < 1:
@@ -296,19 +291,16 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
     if sum(n >= s.n_min for n in s.n_list) < 3:
         raise ConfigError(f"the fit needs at least 3 sizes with N >= n_min ({s.n_min})")
     table = scaling_sweep(s.n_list, params, s.m, workers=s.threads)
-    _write_csv(
+    fit = fit_lnln(table, n_min=s.n_min)
+    _write_outputs(
         s.output,
         ["N", "mean_time", "stderr", "realizations", "exceeded"],
         (
             (r.n_sites, r.mean_time, r.stderr_time, r.realizations, r.horizon_exceeded)
             for r in table.rows
         ),
-    )
-    fit = fit_lnln(table, n_min=s.n_min)
-    _write_json(
         s.fit_output,
         {
-            "schema_version": SCHEMA_VERSION,
             "mode": "times",
             "model": "mean_time = a * lnln(N) + b",
             "a": fit.a,
@@ -318,8 +310,6 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
             "n_min": s.n_min,
         },
     )
-    print(f"wrote {s.output}")
-    print(f"wrote {s.fit_output}")
     return 0
 
 
@@ -330,26 +320,16 @@ def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
         prob = init_weighted(s.weights) / 2.0
 
     result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
-    _write_csv(
+    _write_outputs(
         s.output,
         ["site", "weight", "count", "frequency"],
         (
             (j + 1, prob[j], int(result.counts[j]), result.frequencies[j])
             for j in range(prob.size)
         ),
-    )
-    _write_json(
         s.summary_output,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "m": s.m,
-            "t": s.t,
-            "tau_m": s.tau_m,
-            "unresolved": result.unresolved,
-        },
+        {"m": s.m, "t": s.t, "tau_m": s.tau_m, "unresolved": result.unresolved},
     )
-    print(f"wrote {s.output}")
-    print(f"wrote {s.summary_output}")
     return 0
 
 
@@ -365,16 +345,10 @@ def cmd_bloch(s: argparse.Namespace, params: SimParams) -> int:
     trace = purity_trace(
         params, s.m, s.steps, energy=s.energy, tunneling=s.tunneling, tau_m=s.tau_m
     )
-    _write_csv(
-        s.output,
-        ["t", "mean_purity", "stderr_purity"],
-        zip(trace.times, trace.mean_purity, trace.stderr_purity),
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(trace.diff_mean) / trace.diff_stderr
     z = z[np.isfinite(z)]
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "m": s.m,
         "steps": s.steps,
         "energy": s.energy,
@@ -387,43 +361,39 @@ def cmd_bloch(s: argparse.Namespace, params: SimParams) -> int:
     if s.twin:
         summary["twin_steps"] = s.twin_steps
         summary["twin_max_deviation"] = deviation
-    _write_json(s.summary_output, summary)
-    print(f"wrote {s.output}")
-    print(f"wrote {s.summary_output}")
+    _write_outputs(
+        s.output,
+        ["t", "mean_purity", "stderr_purity"],
+        zip(trace.times, trace.mean_purity, trace.stderr_purity),
+        s.summary_output,
+        summary,
+    )
     return 0
+
+
+# The check table's columns: (CSV header, BoundCheckReport field).
+_CHECK_COLUMNS = (
+    ("t", "times"),
+    ("mean_pair", "mean_pair"),
+    ("stderr_mean", "stderr_mean"),
+    ("max_pair", "max_pair"),
+    ("stderr_max", "stderr_max"),
+    ("bound", "bound"),
+    ("margin_mean", "margin_mean"),
+    ("margin_max", "margin_max"),
+)
 
 
 def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
     report = correlation_bound_check(params, s.m, s.t_grid)
-    _write_csv(
-        s.output,
-        [
-            "t",
-            "mean_pair",
-            "stderr_mean",
-            "max_pair",
-            "stderr_max",
-            "bound",
-            "margin_mean",
-            "margin_max",
-        ],
-        zip(
-            report.times,
-            report.mean_pair,
-            report.stderr_mean,
-            report.max_pair,
-            report.stderr_max,
-            report.bound,
-            report.margin_mean,
-            report.margin_max,
-        ),
-    )
     ok = report.satisfied(s.sigmas)
     finite = report.margin_max[np.isfinite(report.margin_max)]
-    _write_json(
+    _write_outputs(
+        s.output,
+        [header for header, _ in _CHECK_COLUMNS],
+        zip(*(getattr(report, field) for _, field in _CHECK_COLUMNS)),
         s.summary_output,
         {
-            "schema_version": SCHEMA_VERSION,
             "n_sites": report.n_sites,
             "m": report.realizations,
             "sigmas": s.sigmas,
@@ -431,8 +401,6 @@ def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
             "min_margin_max": float(finite.min()) if finite.size else None,
         },
     )
-    print(f"wrote {s.output}")
-    print(f"wrote {s.summary_output}")
     if s.strict and not ok:
         print("bound check failed in strict mode", file=sys.stderr)
         return 3

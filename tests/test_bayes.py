@@ -77,6 +77,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_readouts(np.array([1.0, 1.0]), 1.0, 1.0, derive_stream(0, 0))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: conditional_state(a, ReadoutRecord(np.array([0.5, 0.0]), 1.0, 1.0)),
+            lambda a: collapse_criterion(
+                ReadoutRecord(np.array([0.5, 0.0]), 1.0, 1.0), 0, 0.1, alpha0=a
+            ),
+            lambda a: sample_readouts(a, 1.0, 1.0, derive_stream(0, 0)),
+            lambda a: born_frequencies(a, 1.0, 1.0, 10, 0),
+        ],
+        ids=["conditional_state", "collapse_criterion", "sample_readouts",
+             "born_frequencies"],
+    )
+    def test_nan_amplitudes_rejected(self, call):
+        with pytest.raises(ValueError, match="amplitudes must satisfy"):
+            call(np.array([math.nan, 1.0]))
+
     def test_basis_state_signal_separation(self):
         # t/tau_m = 100: occupied site near +100, others near -100,
         # fluctuations of scale 10.
@@ -278,7 +295,7 @@ class TestBornFrequencies:
         start, m = 5, 40
         p = bayes._born_weights(alpha)
         r = bayes._record_rows(p, t, tau_m, seed, start, start + m)
-        post = bayes._posterior_rows(alpha, r)
+        post = np.abs(bayes._conditional_rows(alpha, r)) ** 2
         assert r.flags.c_contiguous and post.shape == (m, alpha.size)
         for j in range(m):
             record = sample_readouts(alpha, t, tau_m, derive_stream(seed, start + j))

@@ -6,9 +6,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from collapse_sim.cli import main
+from collapse_sim.cli import _render_json, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -398,6 +399,46 @@ def test_step_count_past_2_pow_53_is_a_usage_error(argv, subprocess_env):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "2**53" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+
+@pytest.mark.parametrize(
+    "argv, csv, summary",
+    [
+        (["trajectory", "--n-sites", "3", "--master-seed", "5"], "trajectory.csv", None),
+        (SWEEP_ARGS, "sweep.csv", "sweep_fit.json"),
+        (["sweep", "--mode", "step", "--n-list", "2,8", "--m", "4", "--horizon", "0.5"],
+         "sweep.csv", "sweep_fit.json"),
+        (["bayes", "--n-sites", "3", "--m", "20"], "bayes.csv", "bayes_summary.json"),
+        (["bloch", "--m", "4", "--steps", "5"], "bloch.csv", "bloch_summary.json"),
+        (["check", "--m", "20", "--t-grid", "0,0.5"], "check.csv", "check_summary.json"),
+    ],
+    ids=["trajectory", "sweep", "sweep-step", "bayes", "bloch", "check"],
+)
+def test_every_subcommand_names_its_files_and_versions_its_summary(
+    argv, csv, summary, capsys
+):
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote {csv}"
+    if summary is None:
+        assert len(out) == 2 and out[1].startswith("collapse_time=")
+    else:
+        assert out[1:] == [f"wrote {summary}"]
+        first = next(iter(json.loads(read(summary)).items()))
+        assert first == ("schema_version", 1)
+
+
+def test_render_json():
+    text = _render_json(
+        {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf, "flag": True,
+         "n": np.int64(3), "x": 0.1, "s": 'a "b"\n', "nested": {"k": None}}
+    )
+    assert text == (
+        '{\n  "nan": null,\n  "inf": null,\n  "-inf": null,\n  "flag": true,\n'
+        '  "n": 3,\n  "x": 0.10000000000000001,\n  "s": "a \\"b\\"\\n",\n'
+        '  "nested": {\n    "k": null\n  }\n}'
+    )
 
 
 class TestConfig:
