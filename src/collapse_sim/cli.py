@@ -72,12 +72,12 @@ def _render_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         items = [_render_json(v, indent) for v in value]
         return "[" + ", ".join(items) + "]"
-    if isinstance(value, str):
-        return json.dumps(value)
     # JSON has no spelling for non-finite numbers.
     if value is None or isinstance(value, (float, np.floating)) and not np.isfinite(value):
         return "null"
-    return _fmt(value)
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return _fmt(value)
+    return json.dumps(value)
 
 
 def _write_outputs(

@@ -439,6 +439,9 @@ def test_render_json():
         '  "n": 3,\n  "x": 0.10000000000000001,\n  "s": "a \\"b\\"\\n",\n'
         '  "nested": {\n    "k": null\n  }\n}'
     )
+    # A value JSON cannot spell is an error, never a bare str() in the file.
+    with pytest.raises(TypeError):
+        _render_json({"flag": np.bool_(True)})
 
 
 class TestConfig:
