@@ -14,6 +14,7 @@ from .core import (
     default_t_max,
     derive_seed,
     derive_stream,
+    derive_streams,
     init_uniform,
     init_weighted,
     validate_state,
@@ -63,6 +64,7 @@ __all__ = [
     "default_t_max",
     "derive_seed",
     "derive_stream",
+    "derive_streams",
     "init_uniform",
     "init_weighted",
     "validate_state",

@@ -20,8 +20,10 @@ results finite for records up to |R| of order 1e4.
 Records are built and conditioned as the rows of an array; the
 one-record functions are one-row callers of the same row functions.
 `born_frequencies` draws record i from its own stream (seed, i), in
-index order, with the same calls as `sample_readouts`; it then conditions
-and tallies the records as the rows of fixed-size blocks.  Each row gets
+index order, with the same calls as `sample_readouts`: one uniform for
+the latent site, as `Generator.choice` takes it, then the signals.  It
+builds each block's streams at once, then conditions and tallies the
+records as the rows of fixed-size blocks.  Each row gets
 the bits the one-record functions give it, and the tally does not depend
 on the block size.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_stream
+from .core import derive_streams
 
 __all__ = [
     "ReadoutRecord",
@@ -98,7 +100,7 @@ class ReadoutRecord:
 def draw_latent_site(alpha0: np.ndarray, stream: np.random.Generator) -> int:
     """Sample the excited site with Born weights |alpha_n(0)|^2."""
     p = _born_weights(_check_amplitudes(alpha0))
-    return int(stream.choice(p.size, p=p))
+    return int(_latent_sites(p, stream.random()))
 
 
 def sample_readouts_for_site(
@@ -253,22 +255,32 @@ def _record_rows(
 ) -> np.ndarray:
     """Records start..stop-1 as (rows, N) rows, drawn like `sample_readouts`.
 
-    Only the draws loop: each stream gives its latent site, then its
-    signals (none at t = 0), in index order.  The rows are then built at
-    once by `_signal_rows`.
+    Only the draws loop: each stream gives the uniform of its latent site,
+    then its signals (none at t = 0), in index order.  The sites and the
+    rows are then built at once by `_latent_sites` and `_signal_rows`.
     """
     rows, size = stop - start, p.size
-    sites = np.empty(rows, dtype=np.intp)
+    u = np.empty(rows)
     noise = np.zeros((rows, size))
-    for j in range(rows):
-        stream = derive_stream(seed, start + j)
-        sites[j] = stream.choice(size, p=p)
+    for j, stream in enumerate(derive_streams(seed, start, stop)):
+        u[j] = stream.random()
         if t != 0.0:
             noise[j] = stream.standard_normal(size)
-    r = _signal_rows(sites, noise, t, tau_m)
+    r = _signal_rows(_latent_sites(p, u), noise, t, tau_m)
     if not np.all(np.isfinite(r)):
         raise ValueError("readout entries must be finite")
     return r
+
+
+def _latent_sites(p: np.ndarray, u):
+    """Sites with Born weights p from uniforms u in [0, 1), one per u.
+
+    `Generator.choice(p.size, p=p)` draws its site this way from the one
+    `random()` it takes, so a stream gives the site `choice` would.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
 
 
 def _signal_rows(

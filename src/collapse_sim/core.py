@@ -13,15 +13,21 @@ Conventions used throughout the package:
   seed and the trajectory index through a splitmix64 avalanche mix (see
   :func:`derive_seed`).  Results are therefore bit-identical no matter how
   trajectories are scheduled across workers.
+* :func:`derive_stream` defines trajectory i's stream.  The drivers build a
+  block's streams at once with :func:`derive_streams`, which computes the
+  splitmix64 seeds and numpy's ``SeedSequence`` words as arrays and gives
+  every stream the bits ``derive_stream`` gives it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 __all__ = [
     "NoiseKind",
@@ -29,6 +35,7 @@ __all__ = [
     "default_t_max",
     "derive_seed",
     "derive_stream",
+    "derive_streams",
     "init_uniform",
     "init_weighted",
     "noise_sampler",
@@ -142,14 +149,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
+def _mix64(x):
+    """splitmix64 output function, of a Python int or of a uint64 array."""
+    x = x & _MASK64
+    x = x ^ (x >> 30)
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
+    x = x ^ (x >> 27)
     x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
+    return x ^ (x >> 31)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -158,14 +165,114 @@ def derive_seed(master_seed: int, index: int) -> int:
     The mapping is the splitmix64 output function applied to the master
     seed advanced ``index + 1`` times by the golden-ratio increment.  It is
     a pure function, so distributing trajectories across workers cannot
-    change which stream a given trajectory sees.
+    change which stream a given trajectory sees.  Both arguments may be
+    any integers, numpy's included; only their values mod 2**64 count.
     """
+    master_seed, index = operator.index(master_seed), operator.index(index)
     return _mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible random stream for one trajectory."""
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, index)))
+
+
+def derive_streams(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``[derive_stream(master_seed, i) for i in range(start, stop)]``, built at once.
+
+    The splitmix64 seeds and the ``SeedSequence`` words that seed each
+    ``PCG64`` are computed as arrays over the whole range, so each stream
+    costs only its own construction.  Every stream has the state, the
+    draws and the ``spawn`` children of its ``derive_stream`` twin.
+    """
+    start, stop = operator.index(start), operator.index(stop)
+    if stop <= start:
+        return []
+    # The splitmix64 states of derive_seed, advanced by wrapping uint64 sums.
+    first = (operator.index(master_seed) + (start + 1) * _GOLDEN) & _MASK64
+    steps = np.arange(stop - start, dtype=np.uint64) * np.uint64(_GOLDEN)
+    seeds = _mix64(np.uint64(first) + steps)
+    words = _seed_words(seeds)
+    return [
+        np.random.Generator(np.random.PCG64(_KnownWords(seed, row)))
+        for seed, row in zip(seeds.tolist(), words)
+    ]
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for its
+# default pool of four 32-bit words: the starts and multipliers of its two
+# hash-constant chains, and the multipliers of its mix step.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of ``calls`` hashmix calls and after
+    the last, as a (calls + 1, 1) uint32 column."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64 seed
+    s, as the (n, 4) rows of one array.
+
+    numpy takes a seed below 2**32 as one entropy word and a larger one as
+    two (low word first), and hashes zeros into the rest of the pool, so
+    every seed is its two words followed by two zero words.  The hash
+    constants do not depend on the data, so each stage runs over all
+    seeds and pool words at once.
+    """
+    a = _hash_chain(_INIT_A, _MULT_A, 16)
+    b = _hash_chain(_INIT_B, _MULT_B, 8)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, a[:4], a[1:5])
+    # Every word is mixed into each of the other three, in order.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], a[k:k + 3], a[k + 1:k + 4]) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    # Eight output words cycle through the pool; pairs make the uint64s.
+    state = _hashmix(np.concatenate([pool, pool]), b[:8], b[1:])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _KnownWords(ISpawnableSeedSequence):
+    """``SeedSequence(seed)`` whose ``generate_state(4, np.uint64)`` words
+    are already known.
+
+    ``PCG64`` asks for exactly those words.  Any other request, and
+    ``spawn``, go to the real ``SeedSequence``, built on first use.
+    """
+
+    def __init__(self, seed: int, words: np.ndarray):
+        self._seed = seed
+        self._words = words
+        self._sequence = None
+
+    def _full(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self._seed)
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._words
+        return self._full().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._full().spawn(n_children)
 
 
 def noise_sampler(kind: NoiseKind):

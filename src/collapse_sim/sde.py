@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimParams, derive_stream, init_uniform, noise_sampler, validate_state
+from .core import SimParams, derive_streams, init_uniform, noise_sampler, validate_state
 
 __all__ = [
     "increment",
@@ -285,8 +285,9 @@ def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
                     steps: int, step, observe) -> None:
     """Run trajectories [start, stop) through ``_drive_block``, ``_BLOCK`` at a time.
 
-    Trajectory i draws from ``derive_stream(params.master_seed, i)`` and
-    starts from ``first`` (an (n,) or a (3, n) row), repeated along a new
+    Trajectory i draws from ``derive_stream(params.master_seed, i)`` (a
+    block's streams are built at once by ``derive_streams``) and starts
+    from ``first`` (an (n,) or a (3, n) row), repeated along a new
     second-to-last axis.  Blocks run in index order; the observer sees
     trajectory indices in ``live``.  No trajectory's bits depend on the
     block or the range it runs in.
@@ -294,7 +295,7 @@ def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
     first = np.expand_dims(first, -2)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        streams = [derive_stream(params.master_seed, i) for i in range(lo, hi)]
+        streams = derive_streams(params.master_seed, lo, hi)
         _drive_block(params, streams, np.arange(lo, hi), steps,
                      np.repeat(first, hi - lo, axis=-2), step, observe)
 

@@ -52,6 +52,9 @@ class _RunawayStream:
     def choice(self, size, p):
         return 0
 
+    def random(self):
+        return 0.0
+
     def standard_normal(self, size):
         z = np.zeros(size)
         z[1] = 800.0
@@ -143,6 +146,49 @@ class TestSampling:
         for i in range(5000):
             counts[draw_latent_site(amps, derive_stream(30, i))] += 1
         assert chisquare(counts).pvalue >= 0.01
+
+
+# Born weights for the latent-site law; "inexact-total" has a cumulative
+# sum that ends below 1, "weights-4" one that ends above.
+LATENT_WEIGHTS = {
+    "uniform": np.full(5, 0.2),
+    "weights-4": np.array([0.1, 0.2, 0.3, 0.4]),
+    "zero-weight-site": np.array([0.5, 0.0, 0.3, 0.2]),
+    "inexact-total": np.full(10, 0.1),
+}
+
+
+class TestLatentSiteLaw:
+    """The one-uniform site draw against `Generator.choice` on a twin stream."""
+
+    SEEDS = range(2000)
+
+    @staticmethod
+    def case(name):
+        alpha = np.sqrt(LATENT_WEIGHTS[name])
+        return alpha, bayes._born_weights(alpha)
+
+    def test_cases_cover_inexact_totals(self):
+        totals = {name: self.case(name)[1].cumsum()[-1] for name in LATENT_WEIGHTS}
+        assert totals["inexact-total"] < 1.0 < totals["weights-4"]
+
+    @pytest.mark.parametrize("name", LATENT_WEIGHTS)
+    def test_draw_latent_site_matches_choice(self, name):
+        alpha, p = self.case(name)
+        for seed in self.SEEDS:
+            stream, twin = derive_stream(seed, 0), derive_stream(seed, 0)
+            assert draw_latent_site(alpha, stream) == twin.choice(p.size, p=p)
+            assert np.array_equal(stream.standard_normal(p.size), twin.standard_normal(p.size))
+
+    @pytest.mark.parametrize("name", LATENT_WEIGHTS)
+    def test_sample_readouts_matches_choice(self, name):
+        alpha, p = self.case(name)
+        for seed in self.SEEDS:
+            stream, twin = derive_stream(seed, 1), derive_stream(seed, 1)
+            got = sample_readouts(alpha, 2.0, 1.0, stream)
+            want = sample_readouts_for_site(twin.choice(p.size, p=p), p.size, 2.0, 1.0, twin)
+            assert got.r.tobytes() == want.r.tobytes()
+            assert np.array_equal(stream.standard_normal(p.size), twin.standard_normal(p.size))
 
 
 class TestConditionalState:
@@ -327,7 +373,10 @@ class TestBornFrequencies:
         def runaway(seed, index):
             return _RunawayStream()
 
-        monkeypatch.setattr(bayes, "derive_stream", runaway)
+        def runaways(seed, start, stop):
+            return [_RunawayStream() for _ in range(start, stop)]
+
+        monkeypatch.setattr(bayes, "derive_streams", runaways)
         monkeypatch.setattr(reference, "derive_stream", runaway)
         args = (np.array([1.0, 0.0]), 1.0, 1.0, 3, 0)
         with pytest.raises(ValueError, match="degenerate posterior") as got:

@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapse_sim import core
 from collapse_sim.core import (
     NoiseKind,
     SimParams,
     default_t_max,
     derive_seed,
     derive_stream,
+    derive_streams,
     init_uniform,
     init_weighted,
     noise_sampler,
@@ -184,3 +187,73 @@ class TestSeeding:
         first = derive_seed(seed, index)
         assert derive_seed(seed, index) == first
         assert 0 <= first < 2**64
+
+    def test_numpy_integers_give_the_python_int_stream(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for index in (np.int64(3), np.uint64(3), np.int32(3)):
+                assert derive_seed(7, index) == derive_seed(7, 3)
+                assert derive_stream(7, index).bit_generator.state == derive_stream(7, 3).bit_generator.state
+            assert derive_seed(np.uint64(2**64 - 1), 5) == derive_seed(-1, 5)
+            assert derive_seed(np.int64(-1), np.int64(-1)) == derive_seed(-1, -1)
+            big = derive_streams(np.uint64(2**64 - 1), np.int64(2), np.uint64(5))
+            assert [g.bit_generator.state for g in big] == [
+                derive_stream(-1, i).bit_generator.state for i in range(2, 5)
+            ]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: derive_seed(7, 3.0),
+            lambda: derive_seed(7.0, 3),
+            lambda: derive_stream(7, np.float64(3.0)),
+            lambda: derive_streams(7.0, 0, 3),
+            lambda: derive_streams(7, 0, 3.0),
+        ],
+    )
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+
+class TestDeriveStreams:
+    """The batched streams against the one-stream definition, bitwise."""
+
+    def test_seed_words_match_seed_sequence(self):
+        # One-word (below 2**32) and two-word entropy, and random seeds.
+        edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        rng = np.random.default_rng(3)
+        seeds = edges + rng.integers(0, 2**64, size=2000, dtype=np.uint64).tolist()
+        words = core._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(row, want), seed
+
+    @pytest.mark.parametrize("master_seed", [0, -1, 2**63, 2**64 + 3, 987654321])
+    @pytest.mark.parametrize("start, stop", [(0, 700), (2**40 + 11, 2**40 + 31), (-3, 4), (2**64 - 2, 2**64 + 2)])
+    def test_states_match_derive_stream(self, master_seed, start, stop):
+        streams = derive_streams(master_seed, start, stop)
+        assert len(streams) == stop - start
+        for j, stream in enumerate(streams):
+            assert stream.bit_generator.state == derive_stream(master_seed, start + j).bit_generator.state
+
+    def test_draws_and_spawn_match_derive_stream(self):
+        for j, stream in enumerate(derive_streams(5, 10, 14)):
+            twin = derive_stream(5, 10 + j)
+            assert np.array_equal(stream.standard_normal(50), twin.standard_normal(50))
+            for n_children in (2, 1):
+                got = [g.random(3) for g in stream.spawn(n_children)]
+                want = [g.random(3) for g in twin.spawn(n_children)]
+                assert np.array_equal(got, want)
+
+    def test_other_seed_sequence_requests_match(self):
+        stream = derive_streams(5, 2, 3)[0]
+        want = np.random.SeedSequence(derive_seed(5, 2))
+        got = stream.bit_generator.seed_seq
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert np.array_equal(got.generate_state(4, np.uint64), want.generate_state(4, np.uint64))
+
+    def test_empty_range(self):
+        assert derive_streams(1, 5, 5) == []
+        assert derive_streams(1, 5, 3) == []

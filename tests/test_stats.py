@@ -111,6 +111,20 @@ class TestRunEnsemble:
         z = (st.winner_histogram / k - w) / np.sqrt(w * (1.0 - w) / k)
         assert np.all(np.abs(z) <= 4.0), z
 
+    @pytest.mark.parametrize("n, m, seed", [(8, 8000, 606), (64, 3000, 607)])
+    def test_light_site_born_tallies(self, n, m, seed):
+        # One light site among equal ones: the clamp at 0 could remove the
+        # light site more often than its weight says, skewing its tally.
+        w = np.full(n, 0.98 / (n - 1))
+        w[0] = 0.02
+        p = SimParams(n_sites=n, dt=1.0 / 25.0, delta=1e-2, master_seed=seed)
+        st = run_ensemble(p, m, initial=init_weighted(w))
+        assert st.horizon_exceeded == 0
+        w = w / w.sum()
+        k = st.winner_histogram.sum()
+        z = (st.winner_histogram / k - w) / np.sqrt(w * (1.0 - w) / k)
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_rejects_bad_args(self):
         p = SimParams(n_sites=2, dt=0.04)
         with pytest.raises(ValueError):
