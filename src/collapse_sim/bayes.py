@@ -272,7 +272,7 @@ def _record_rows(
     return r
 
 
-def _latent_sites(p: np.ndarray, u):
+def _latent_sites(p: np.ndarray, u: float | np.ndarray):
     """Sites with Born weights p from uniforms u in [0, 1), one per u.
 
     `Generator.choice(p.size, p=p)` draws its site this way from the one

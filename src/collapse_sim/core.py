@@ -217,6 +217,7 @@ def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
 
 
 def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """numpy's hashmix, given the hash constant before and after its update."""
     value = (value ^ before) * after
     return value ^ (value >> 16)
 
