@@ -310,6 +310,11 @@ class PurityTrace:
     repairs: int
 
 
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total + rows[0] + rows[1] + ...``, added one row at a time."""
+    return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
+
+
 def purity_trace(
     params: SimParams,
     m: int,
@@ -371,17 +376,18 @@ def purity_trace(
         p[:, k] = (x**2 + y**2 + z**2).mean(axis=1)
         if k < n_steps:
             inc = _increments(x, y, z, dt, template.tau_m)
-            q[:, k] = [sum(row) / n for row in inc.tolist()]
+            # Each row summed left to right from +0.0, whatever the Python
+            # version (builtin sum compensates its float sums from 3.12).
+            q[:, k] = (np.add.accumulate(inc, axis=1)[:, -1] + 0.0) / n
             return
         # Blocks end in index order, and their trajectories enter the sums
         # one at a time, in index order.
-        for p_row, q_row in zip(p, q):
-            diff = (p_row[1:] - p_row[:-1]) - q_row
-            p_sum += p_row
-            p_sumsq += p_row * p_row
-            d_sum += diff
-            d_sumsq += diff * diff
-            q_sum += q_row
+        diff = (p[:, 1:] - p[:, :-1]) - q
+        p_sum = _add_rows(p_sum, p)
+        p_sumsq = _add_rows(p_sumsq, p * p)
+        d_sum = _add_rows(d_sum, diff)
+        d_sumsq = _add_rows(d_sumsq, diff * diff)
+        q_sum = _add_rows(q_sum, q)
 
     _drive_ensemble(params, 0, m, first, n_steps, step, observe)
 

@@ -409,9 +409,23 @@ def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
 
 @dataclass(frozen=True)
 class Command:
+    """A subcommand: its runner, its own options, and the ``SimParams``
+    fields it reads in any of its modes."""
+
     run: Callable[[argparse.Namespace, SimParams], int]
     help: str
     options: tuple[Option, ...]
+    reads: tuple[str, ...] = tuple(field.name for field in fields(SimParams))
+
+
+def _sim_params(command: Command, settings: argparse.Namespace) -> SimParams:
+    """SimParams from the root settings the command reads; the rest keep
+    their defaults, so a value the command ignores is never rejected."""
+    sim = {name: getattr(settings, name) for name in command.reads}
+    if "dt" in sim and "t_max" not in sim:
+        # An unread horizon is one step, which every valid dt passes.
+        sim["t_max"] = sim["dt"]
+    return SimParams(**sim)
 
 
 COMMANDS = {
@@ -439,7 +453,7 @@ COMMANDS = {
         Option("m", _integer, 10000, "sampled records"),
         Option("output", _text, "bayes.csv", "CSV table"),
         Option("summary_output", _text, "bayes_summary.json", "JSON summary"),
-    )),
+    ), reads=("n_sites", "master_seed")),
     "bloch": Command(cmd_bloch, "Bloch-vector runs with purity trace", (
         Option("m", _integer, 200, "trajectories"),
         Option("steps", _integer, 200, "steps per trajectory"),
@@ -454,7 +468,7 @@ COMMANDS = {
         Option("twin_steps", _integer, 10000, "steps of the twin comparison"),
         Option("output", _text, "bloch.csv", "CSV table"),
         Option("summary_output", _text, "bloch_summary.json", "JSON summary"),
-    )),
+    ), reads=("n_sites", "dt", "noise_kind", "master_seed")),
     "check": Command(cmd_check, "pairwise moment bound verification", (
         Option("m", _integer, 2000, "trajectories"),
         Option("t_grid", _parse_number_list, [0.0, 0.5, 1.0, 2.0, 5.0],
@@ -463,7 +477,7 @@ COMMANDS = {
         Option("strict", _parse_bool, False, "exit 3 if the bound check fails"),
         Option("output", _text, "check.csv", "CSV table"),
         Option("summary_output", _text, "check_summary.json", "JSON summary"),
-    )),
+    ), reads=("n_sites", "dt", "t_max", "noise_kind", "master_seed")),
 }
 
 
@@ -499,9 +513,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         settings = _settings(args, _load_config(args.config) if args.config else {})
-        sim = {field.name: getattr(settings, field.name) for field in fields(SimParams)}
+        command = COMMANDS[args.command]
         # The library rejects bad settings with ValueError.
-        return COMMANDS[args.command].run(settings, SimParams(**sim))
+        return command.run(settings, _sim_params(command, settings))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

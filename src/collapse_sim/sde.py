@@ -22,9 +22,10 @@ A finite Euler step can overshoot the simplex even though the continuous
 flow cannot, so every step ends with a boundary repair: components are
 clamped to ``[0, 2]``, the budget left by sites clamped at 0 goes to the
 free ones, and the row is rescaled so its total is exactly 2.  All rows
-of a block are repaired together, grouped by their number of clamped
-sites, and each comes out with the same bits as on its own.  The
-clamping bias is O(dt) and vanishes under refinement.
+of a block are repaired together from one sort of each clipped row, and
+each comes out with the same bits as on its own.  A step sorts each row
+twice in all: once for ``S`` and once in the repair.  The clamping bias
+is O(dt) and vanishes under refinement.
 
 Cross-site reductions use sorted summation so that relabeling the sites
 (and their noise components alike) commutes with a step bitwise.
@@ -60,14 +61,6 @@ _BLOCK = 256
 _DRAW_CAP = 1 << 17
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    # The sorted sum along the last axis of a C-contiguous array.  Each row
-    # is then summed as one contiguous run, with the same pairwise grouping
-    # as the sorted sum of that row alone; a strided row would be grouped
-    # differently and could differ in the last bit.
-    return np.sort(values, axis=-1).sum(axis=-1)
-
-
 def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Raw increment of the V system for Wiener increments ``dw``.
 
@@ -90,7 +83,12 @@ def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:
     dw = np.ascontiguousarray(dw, dtype=float)
     if state.shape != dw.shape:
         raise ValueError("state and noise must have matching shapes")
-    s = _row_sums(state * dw)
+    # The sorted sum of each row, summed as one C-contiguous run so it is
+    # grouped as the sum of that row alone; a strided row would be grouped
+    # differently and could differ in the last bit.
+    prod = state * dw
+    prod.sort(axis=-1)
+    s = prod.sum(axis=-1)
     out = 2.0 * dw
     out -= s[..., None]
     out *= state
@@ -105,14 +103,24 @@ def _repair_simplex(raw: np.ndarray) -> np.ndarray:
     spread over the free sites, in proportion to their values or evenly
     when they hold no mass.  The row is then rescaled to total exactly 2,
     or set to the uniform point 2/n when its total is not positive.
+    ``raw`` is clipped in place and returned.
 
-    Sums are sorted and taken over C-contiguous runs, so each row comes
-    out bit for bit as if repaired alone.  Rows that spread a budget are
-    taken together by their number of clamped sites c, so their free
-    values form one (rows, n - c) array; the only loop is over those c.
+    Each clipped row is sorted once, and every sum is read from that
+    sorted copy; each sum is then the sorted sum of a C-contiguous run,
+    so every row comes out bit for bit as if repaired alone.  A row that
+    spreads a budget has its c clamped sites at exactly 0, and they come
+    first in the sorted row, so its free values' sorted sum is the sum
+    of the sorted row from position c on.  (Free sites at 0 or -0.0 tie
+    with them; swapping zeros can flip only the sign of a zero sum, and
+    either zero means no free mass.)  Spreading scales the whole row
+    by 2 over that sum: the clamped zeros stay 0, and rows that spread
+    nothing are scaled by 1.0, which changes no value.  A positive scale
+    keeps the sorted order, so the scaled sorted row is the sorted scaled
+    row and gives the final total without a second sort.  Only rows whose
+    free values are replaced (no free mass) or whose scale overflows are
+    sorted again.
     """
     n = raw.shape[-1]
-    w = np.clip(raw, 0.0, 2.0)
     lower = raw < 0.0
     # Clamped sites hold exactly 0 or 2, so the budget is exact in any
     # order: 2 while no site passed 2, and not positive once one did.  So
@@ -120,21 +128,30 @@ def _repair_simplex(raw: np.ndarray) -> np.ndarray:
     # some free sites left; every other row gets the final rescale alone.
     counts = lower.sum(axis=1)
     counts[(raw > 2.0).any(axis=1)] = 0
-    for c in set(counts.tolist()) - {0, n}:
+    spread = (counts > 0) & (counts < n)
+    w = np.clip(raw, 0.0, 2.0, out=raw)
+    sw = np.sort(w, axis=-1)
+    s_free = np.ones(len(w))
+    for c in set(counts[spread].tolist()):
+        # The gather copies the tails into one C-contiguous array.
         rows = counts == c
-        part = w[rows]
-        free = ~lower[rows]
-        values = part[free].reshape(-1, n - c)
-        s_free = _row_sums(values)
-        # No free mass: one unit on each free site, so the scale below
-        # spreads the budget evenly.
-        even = ~(s_free > 0.0)
-        values[even] = 1.0
-        s_free[even] = n - c
-        values *= (2.0 / s_free)[:, None]
-        part[free] = values.ravel()
-        w[rows] = part
-    total = _row_sums(w)
+        s_free[rows] = sw[rows, c:].sum(axis=-1)
+    # No free mass: one unit on each free site, so the scale below
+    # spreads the budget evenly.
+    even = spread & ~(s_free > 0.0)
+    if even.any():
+        w[even[:, None] & ~lower] = 1.0
+        s_free[even] = n - counts[even]
+    scale = np.ones(len(w))
+    scale[spread] = 2.0 / s_free[spread]
+    w *= scale[:, None]
+    sw *= scale[:, None]
+    # A scale that overflows turns the clamped zeros into NaN; they stay 0.
+    stale = even | np.isinf(scale)
+    if stale.any():
+        w[stale[:, None] & lower] = 0.0
+        sw[stale] = np.sort(w[stale], axis=-1)
+    total = sw.sum(axis=-1)
     # A row without a positive total becomes the uniform point 2/n.
     positive = total > 0.0
     if not positive.all():
@@ -153,7 +170,7 @@ def euler_step(state: np.ndarray, noise: np.ndarray, dt: float) -> np.ndarray:
     they are scaled by sqrt(dt) internally.  The result is clamped and
     renormalized so each row stays a valid simplex point with total
     exactly 2 up to rounding.  Every row comes out bit for bit as if it
-    had been stepped alone.
+    had been stepped alone.  ``state`` and ``noise`` are not modified.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

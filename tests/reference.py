@@ -313,9 +313,10 @@ def reference_purity_trace(
         p_sum[0] += p_now
         p_sumsq[0] += p_now * p_now
         for k in range(n_steps):
-            predicted = sum(
-                reference_expected_purity_increment(state, j, dt) for j in range(n)
-            ) / n
+            predicted = 0.0
+            for j in range(n):
+                predicted += reference_expected_purity_increment(state, j, dt)
+            predicted /= n
             state = reference_step_bloch(state, draw(stream, n), dt)
             p_next = float(reference_purity_vector(state).mean())
             observed = p_next - p_now

@@ -92,3 +92,46 @@ def test_rejects_no_common_run(tmp_path):
             bench_pairs.load_records(tmp_path / "change"),
             END_TO_END,
         )
+
+
+PYTEST_LOG = """\
+........s.                                                               [100%]
+============================== slowest durations ===============================
+{c05:.2f}s call     tests/test_acceptance.py::test_c05_norm_conservation
+60.01s setup    tests/test_acceptance.py::test_c02_lnln_trend
+{extra}
+(400 durations < 0.005s hidden.  Use -vv to show these durations.)
+497 passed, 1 skipped in {suite:.2f}s (0:02:41)
+"""
+
+
+def write_log(path, c05, suite, extra=""):
+    path.write_text(PYTEST_LOG.format(c05=c05, suite=suite, extra=extra))
+    return path
+
+
+def test_durations_are_paired_by_test_and_phase(tmp_path):
+    parent = [bench_pairs.load_durations(write_log(tmp_path / f"p{i}", c05, 161.0 + i))
+              for i, c05 in enumerate([48.0, 47.5])]
+    change = [bench_pairs.load_durations(write_log(
+        tmp_path / "c", 41.25, 150.5,
+        "0.01s teardown tests/test_sde.py::TestRepairSimplex::test_new[512]"))]
+    assert parent[0]["tests"][
+        "tests/test_acceptance.py::test_c05_norm_conservation", "call"] == 48.0
+    durations = bench_pairs.collect_durations(parent, change)
+    assert durations["suite_s"] == {"parent": [161.0, 162.0], "change": [150.5]}
+    assert durations["tests"] == [
+        {"test": "tests/test_acceptance.py::test_c02_lnln_trend", "phase": "setup",
+         "parent": [60.01, 60.01], "change": [60.01]},
+        {"test": "tests/test_acceptance.py::test_c05_norm_conservation", "phase": "call",
+         "parent": [48.0, 47.5], "change": [41.25]},
+        {"test": "tests/test_sde.py::TestRepairSimplex::test_new[512]", "phase": "teardown",
+         "parent": [], "change": [0.01]},
+    ]
+
+
+def test_rejects_a_log_without_durations(tmp_path):
+    log = tmp_path / "log"
+    log.write_text("497 passed in 161.00s\n")
+    with pytest.raises(ValueError, match="durations=0"):
+        bench_pairs.load_durations(log)

@@ -429,6 +429,41 @@ def test_every_subcommand_names_its_files_and_versions_its_summary(
         assert first == ("schema_version", 1)
 
 
+@pytest.mark.parametrize(
+    "argv, unread, files",
+    [
+        (["bayes", "--m", "50"], ["--dt", "0.5", "--t-max", "0.1", "--delta", "1.5"],
+         ["bayes.csv", "bayes_summary.json"]),
+        (["bloch", "--m", "4", "--steps", "5"], ["--delta", "1.5", "--t-max", "0.01"],
+         ["bloch.csv", "bloch_summary.json"]),
+        (["check", "--m", "20", "--t-grid", "0,0.5"], ["--delta", "1.5"],
+         ["check.csv", "check_summary.json"]),
+    ],
+    ids=["bayes", "bloch", "check"],
+)
+def test_root_settings_a_subcommand_ignores_are_not_checked(argv, unread, files):
+    assert main(argv) == 0
+    expected = {f: read(f) for f in files}
+    assert main(argv + unread) == 0
+    assert {f: read(f) for f in files} == expected
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--dt", "0.5", "--t-max", "0.1"], "t_max must be >= dt"),
+        (["check", "--m", "5", "--dt", "0.5", "--t-max", "0.1"], "t_max must be >= dt"),
+        (["bloch", "--m", "4", "--dt", "-1"], "dt must be positive"),
+        (["bayes", "--n-sites", "0"], "n_sites must be >= 1"),
+        (["trajectory", "--delta", "1.5"], "delta must lie in (0, 1)"),
+    ],
+    ids=["sweep", "check", "bloch", "bayes", "trajectory"],
+)
+def test_root_settings_a_subcommand_reads_are_checked(argv, text, capsys):
+    assert main(argv) == 2
+    assert text in capsys.readouterr().err
+
+
 def test_render_json():
     text = _render_json(
         {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf, "flag": True,

@@ -205,6 +205,20 @@ class TestRowKernel:
         with pytest.raises(ValueError):
             euler_step(np.ones((2, 3)), np.ones((3, 2)), 0.04)
 
+    @pytest.mark.parametrize("shape", [(16,), (64, 16)])
+    def test_inputs_left_unchanged(self, shape):
+        # The repair clips its scratch array in place; the caller's state
+        # and noise must come back untouched, also when rows clamp.
+        rng = np.random.default_rng(9)
+        rows = shape[0] if len(shape) == 2 else 1
+        state = np.stack([random_simplex_state(rng, 16) for _ in range(rows)]).reshape(shape)
+        noise = rng.normal(0.0, 6.0, shape)
+        assert (state + increment(state, math.sqrt(0.3) * noise) < 0.0).any()
+        before = state.copy(), noise.copy()
+        euler_step(state, noise, 0.3)
+        assert state.tobytes() == before[0].tobytes()
+        assert noise.tobytes() == before[1].tobytes()
+
 
 def _rare_rows(rng, n):
     """A stepped (rows, n) block that mixes every kind of row the repair meets."""
@@ -261,6 +275,37 @@ class TestRepairSimplex:
         perm = rng.permutation(n)
         moved = _repair_simplex(np.ascontiguousarray(raw[:, perm]))
         assert np.array_equal(moved, out[:, perm])
+
+    def test_mid_run_block_with_many_clamp_counts(self):
+        # A 200-row block at N = 512, 50 steps into a run, where the next
+        # step clamps rows at many distinct counts c.
+        rng = np.random.default_rng(512)
+        n, rows, dt = 512, 200, 0.04
+        state = np.full((rows, n), 2.0 / n)
+        for _ in range(50):
+            state = euler_step(state, rng.standard_normal((rows, n)), dt)
+        raw = state + increment(state, math.sqrt(dt) * rng.standard_normal((rows, n)))
+        counts = (raw < 0.0).sum(axis=1)
+        spreads = (counts > 0) & ~(raw > 2.0).any(axis=1)
+        # Free sites at exact 0 and at -0.0 in some spreading rows.
+        for r in np.flatnonzero(spreads)[:20]:
+            free = np.flatnonzero(raw[r] >= 0.0)
+            raw[r, free[:3]] = 0.0
+            raw[r, free[3:6]] = -0.0
+        # Rows with no free mass, and one whose free mass is so small that
+        # 2 over it overflows, each sharing its c with a row that spreads.
+        donors = np.flatnonzero(spreads)[-4:]
+        targets = rng.choice(np.flatnonzero(~spreads), 4, replace=False)
+        for r, d, fill in zip(targets, donors, [0.0, -0.0, np.nan, 5e-324]):
+            raw[r] = np.where(raw[d] < 0.0, raw[d], fill)
+        assert len(set(counts[spreads].tolist())) >= 20
+
+        # The overflowing row warns on both sides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _repair_simplex(raw.copy())
+            for r in range(rows):
+                expected = reference_repair_simplex(raw[r].copy())
+                assert out[r].tobytes() == expected.tobytes(), r
 
 
 class TestDetectCollapse:

@@ -14,6 +14,12 @@ of the checkout that holds it, with the machine, the versions, the
 commit of each side and the end-to-end metrics of every pair.  Per
 workload it adds each side's median and quartiles and how many pairs
 the change won, by the direction BENCHMARK.json gives each metric.
+
+With ``--parent-durations LOG... --change-durations LOG...`` it also
+stores the test suite's durations: each LOG is the output of one
+``pytest --durations=0`` run of that side, and the file gets, per test
+and phase, the seconds of every run of each side, and the suite's wall
+time per run.
 """
 
 from __future__ import annotations
@@ -102,17 +108,60 @@ def collect(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     }
 
 
+DURATION_LINE = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)")
+SUITE_LINE = re.compile(r"\b(?:passed|failed|errors?|skipped)\b.* in (\d+(?:\.\d+)?)s\b")
+
+
+def load_durations(path: Path) -> dict:
+    """Seconds by (test, phase), and the suite's wall time, of one pytest log."""
+    tests, suite = {}, None
+    for line in path.read_text().splitlines():
+        if match := DURATION_LINE.fullmatch(line.strip()):
+            tests[match[3], match[2]] = float(match[1])
+        elif match := SUITE_LINE.search(line):
+            suite = float(match[1])
+    if suite is None or not tests:
+        raise ValueError(f"{path}: not the output of pytest --durations=0")
+    return {"tests": tests, "suite_s": suite}
+
+
+def collect_durations(parent: list[dict], change: list[dict]) -> dict:
+    """Every side's runs of each test and phase, slowest first."""
+    keys = set().union(*(run["tests"] for run in parent + change))
+    runs = {k: {name: [run["tests"][k] for run in logs if k in run["tests"]]
+                for name, logs in (("parent", parent), ("change", change))}
+            for k in keys}
+    order = sorted(keys, key=lambda k: (-max(runs[k]["parent"] + runs[k]["change"]), k))
+    return {
+        "suite_s": {"parent": [run["suite_s"] for run in parent],
+                    "change": [run["suite_s"] for run in change]},
+        "tests": [{"test": test, "phase": phase, **runs[test, phase]}
+                  for test, phase in order],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--parent-durations", nargs="+", type=Path, default=[],
+                        help="pytest --durations=0 output of the parent, one file per run")
+    parser.add_argument("--change-durations", nargs="+", type=Path, default=[],
+                        help="pytest --durations=0 output of the change, one file per run")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         parser.error("--label may hold only letters, digits, '_', '.' and '-'")
+    if bool(args.parent_durations) != bool(args.change_durations):
+        parser.error("give --parent-durations and --change-durations together")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     try:
         bench = collect(load_records(args.parent), load_records(args.change), end_to_end)
+        if args.parent_durations:
+            bench["durations"] = collect_durations(
+                [load_durations(p) for p in args.parent_durations],
+                [load_durations(p) for p in args.change_durations],
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
