@@ -8,7 +8,9 @@ keys, the parsers and the defaults.  Settings come from an optional JSON
 config file plus flags; precedence is flags, then the subcommand's block
 in the file ("sweep", "bayes", ...), then the file's root keys, then the
 row's default.  A config value goes through its flag's parser, so a JSON
-string reads like the flag's text; null leaves a key unset.
+string reads like the flag's text; null leaves a key unset.  A
+subcommand builds ``SimParams`` from the root settings its ``reads``
+names, so a setting it ignores is never rejected.
 
 Outputs are CSV tables with a header row and LF line endings, plus JSON
 summaries whose first key is schema_version, all written by

@@ -128,29 +128,31 @@ def _repair_simplex(raw: np.ndarray) -> np.ndarray:
     # some free sites left; every other row gets the final rescale alone.
     counts = lower.sum(axis=1)
     counts[(raw > 2.0).any(axis=1)] = 0
-    spread = (counts > 0) & (counts < n)
+    groups = set(counts.tolist()) - {0, n}
     w = np.clip(raw, 0.0, 2.0, out=raw)
     sw = np.sort(w, axis=-1)
-    s_free = np.ones(len(w))
-    for c in set(counts[spread].tolist()):
-        # The gather copies the tails into one C-contiguous array.
-        rows = counts == c
-        s_free[rows] = sw[rows, c:].sum(axis=-1)
-    # No free mass: one unit on each free site, so the scale below
-    # spreads the budget evenly.
-    even = spread & ~(s_free > 0.0)
-    if even.any():
-        w[even[:, None] & ~lower] = 1.0
-        s_free[even] = n - counts[even]
-    scale = np.ones(len(w))
-    scale[spread] = 2.0 / s_free[spread]
-    w *= scale[:, None]
-    sw *= scale[:, None]
-    # A scale that overflows turns the clamped zeros into NaN; they stay 0.
-    stale = even | np.isinf(scale)
-    if stale.any():
-        w[stale[:, None] & lower] = 0.0
-        sw[stale] = np.sort(w[stale], axis=-1)
+    if groups:
+        # A free sum of 2 scales a row by exactly 1.0.
+        s_free = np.full(len(w), 2.0)
+        for c in groups:
+            # The gather copies the tails into one C-contiguous array.
+            rows = counts == c
+            s_free[rows] = sw[rows, c:].sum(axis=-1)
+        # No free mass: one unit on each free site, so the scale below
+        # spreads the budget evenly.
+        even = ~(s_free > 0.0)
+        if even.any():
+            w[even[:, None] & ~lower] = 1.0
+            s_free[even] = n - counts[even]
+        scale = (2.0 / s_free)[:, None]
+        w *= scale
+        sw *= scale
+        # A scale that overflows turns the clamped zeros into NaN; they
+        # stay 0.  These rows and the even ones are sorted again.
+        stale = even | np.isinf(scale[:, 0])
+        if stale.any():
+            w[stale[:, None] & lower] = 0.0
+            sw[stale] = np.sort(w[stale], axis=-1)
     total = sw.sum(axis=-1)
     # A row without a positive total becomes the uniform point 2/n.
     positive = total > 0.0
