@@ -292,8 +292,9 @@ class TestRepairSimplex:
             free = np.flatnonzero(raw[r] >= 0.0)
             raw[r, free[:3]] = 0.0
             raw[r, free[3:6]] = -0.0
-        # Rows with no free mass, and one whose free mass is so small that
-        # 2 over it overflows, each sharing its c with a row that spreads.
+        # Rows whose free sites hold 0, -0.0 or NaN (no free mass), and one
+        # whose free mass is so small that 2 over it overflows, each sharing
+        # its c with a row that spreads.
         donors = np.flatnonzero(spreads)[-4:]
         targets = rng.choice(np.flatnonzero(~spreads), 4, replace=False)
         for r, d, fill in zip(targets, donors, [0.0, -0.0, np.nan, 5e-324]):
