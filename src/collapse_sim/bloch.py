@@ -32,7 +32,8 @@ counts the repairs of each row.  step_bloch is its one-row caller.
 purity_trace is an observer of `sde._drive_ensemble`, the one ensemble
 driver, which also steps the occupation picture, and evaluates the
 predicted increments of all rows and sites at once.  Every row gives the
-same bits as stepping that register alone.
+same bits as stepping that register alone.  It folds each step into its
+sums as soon as it sees it, so it needs O(n_steps + rows * N) memory.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimParams, noise_sampler
-from .sde import _drive_ensemble, euler_step
+from .sde import _drive_ensemble, _libm_square, _Moments, euler_step
 
 __all__ = [
     "BlochEnsemble",
@@ -251,16 +252,6 @@ def expected_purity_increment(state: BlochEnsemble, j: int, dt: float) -> float:
     return float(rows[0, j])
 
 
-# libm pow, one entry at a time.  Squaring a float scalar with ** goes
-# through it, and it can differ from the x * x that ** 2 on an array
-# computes in the last bit.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _libm_square(a):
-    return _pow(a, 2.0).astype(float)
-
-
 def _increments(x, y, z, dt, tau_m):
     """expected_purity_increment of every qubit of (rows, N) arrays.
 
@@ -310,11 +301,6 @@ class PurityTrace:
     repairs: int
 
 
-def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``total + rows[0] + rows[1] + ...``, added one row at a time."""
-    return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
-
-
 def purity_trace(
     params: SimParams,
     m: int,
@@ -330,7 +316,8 @@ def purity_trace(
     result is reproducible and independent of evaluation order.  Each
     trajectory contributes its site-averaged purity at every step and the
     difference between the realized purity change and the closed-form
-    expectation computed from the pre-step state.
+    expectation computed from the pre-step state.  Memory is
+    O(n_steps + rows * N): no trajectory's history is kept.
 
     ``initial``, when given, is the start of every trajectory and carries
     its own energy, tunneling and tau_m, which then override the keyword
@@ -349,11 +336,10 @@ def purity_trace(
     dt = params.dt
     first = np.stack((template.x, template.y, template.z))
 
-    p_sum = np.zeros(n_steps + 1)
-    p_sumsq = np.zeros(n_steps + 1)
-    d_sum = np.zeros(n_steps)
-    d_sumsq = np.zeros(n_steps)
-    q_sum = np.zeros(n_steps)
+    # Slot k: site-mean purity after k steps, predicted gain of step k + 1.
+    purity_k = _Moments(n_steps + 1)
+    predicted = _Moments(n_steps)
+    mismatch = _Moments(n_steps)
     total_repairs = m * template.repairs
 
     def step(xyz, noise, dt):
@@ -364,45 +350,32 @@ def purity_trace(
         total_repairs += int(repaired.sum())
         return np.stack((x, y, z))
 
-    # Per block: site-mean purity after k steps and predicted gain of step k + 1.
-    p = q = None
+    before = None  # the block's purity and predicted gain at step k - 1
 
     def observe(k, xyz, live):
-        nonlocal p, q, p_sum, p_sumsq, d_sum, d_sumsq, q_sum
+        nonlocal before
         x, y, z = xyz
-        if k == 0:
-            p = np.empty((live.size, n_steps + 1))
-            q = np.empty((live.size, n_steps))
-        p[:, k] = (x**2 + y**2 + z**2).mean(axis=1)
+        p = (x**2 + y**2 + z**2).mean(axis=1)
+        purity_k.add(k, p)
+        if k > 0:
+            mismatch.add(k - 1, (p - before[0]) - before[1])
         if k < n_steps:
             inc = _increments(x, y, z, dt, template.tau_m)
             # Each row summed left to right from +0.0, whatever the Python
             # version (builtin sum compensates its float sums from 3.12).
-            q[:, k] = (np.add.accumulate(inc, axis=1)[:, -1] + 0.0) / n
-            return
-        # Blocks end in index order, and their trajectories enter the sums
-        # one at a time, in index order.
-        diff = (p[:, 1:] - p[:, :-1]) - q
-        p_sum = _add_rows(p_sum, p)
-        p_sumsq = _add_rows(p_sumsq, p * p)
-        d_sum = _add_rows(d_sum, diff)
-        d_sumsq = _add_rows(d_sumsq, diff * diff)
-        q_sum = _add_rows(q_sum, q)
+            q = (np.add.accumulate(inc, axis=1)[:, -1] + 0.0) / n
+            predicted.add(k, q)
+            before = p, q
 
     _drive_ensemble(params, 0, m, first, n_steps, step, observe)
 
-    times = dt * np.arange(n_steps + 1)
-    mean_p = p_sum / m
-    var_p = np.maximum(p_sumsq / m - mean_p**2, 0.0)
-    stderr_p = np.sqrt(var_p / max(m - 1, 1))
-    mean_d = d_sum / m
-    var_d = np.maximum(d_sumsq / m - mean_d**2, 0.0)
-    stderr_d = np.sqrt(var_d / max(m - 1, 1))
+    mean_p, stderr_p = purity_k.mean_stderr(m)
+    mean_d, stderr_d = mismatch.mean_stderr(m)
     return PurityTrace(
-        times=times,
+        times=dt * np.arange(n_steps + 1),
         mean_purity=mean_p,
         stderr_purity=stderr_p,
-        predicted_mean=q_sum / m,
+        predicted_mean=predicted.sum / m,
         diff_mean=mean_d,
         diff_stderr=stderr_d,
         repairs=total_repairs,

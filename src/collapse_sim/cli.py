@@ -16,7 +16,8 @@ Outputs are CSV tables with a header row and LF line endings, plus JSON
 summaries whose first key is schema_version, all written by
 ``_write_outputs``.  Floats are printed with 17
 significant digits so files round-trip and reruns are byte-identical.
-Exit codes: 0 success, 2 config error, 3 failed strict bound check.
+Exit codes: 0 success, 2 config error or a run too large to allocate,
+3 failed strict bound check.
 
 Worker parallelism is capped by --threads (fallback: the
 COLLAPSE_SIM_THREADS environment variable); results never depend on it.
@@ -516,9 +517,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         settings = _settings(args, _load_config(args.config) if args.config else {})
         command = COMMANDS[args.command]
-        # The library rejects bad settings with ValueError.
+        # Bad settings raise ValueError; a run too large to allocate, MemoryError.
         return command.run(settings, _sim_params(command, settings))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,9 @@ Cross-site reductions use sorted summation so that relabeling the sites
 Every ensemble experiment is an observer of one call, ``_drive_ensemble``,
 which cuts the trajectories into blocks and steps each block through
 ``_drive_block`` as the rows of one array; ``run_trajectory`` is a
-one-row block of it.
+one-row block of it.  The fixed-horizon observers fold each recorded
+step into a ``_Moments`` in trajectory order, and square through libm
+``pow`` with ``_libm_square`` where they keep the bits of ``float ** 2``.
 """
 
 from __future__ import annotations
@@ -317,6 +319,35 @@ def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
         streams = derive_streams(params.master_seed, lo, hi)
         _drive_block(params, streams, np.arange(lo, hi), steps,
                      np.repeat(first, hi - lo, axis=-2), step, observe)
+
+
+class _Moments:
+    """Per-slot sums of one value per trajectory and of its square, each
+    added one at a time in trajectory order, as a loop over them would."""
+
+    def __init__(self, slots: int):
+        self.sum = np.zeros(slots)
+        self.sumsq = np.zeros(slots)
+
+    def add(self, slot: int, values: np.ndarray) -> None:
+        for total, terms in ((self.sum, values), (self.sumsq, values * values)):
+            total[slot] = np.add.accumulate(np.concatenate(([total[slot]], terms)))[-1]
+
+    def mean_stderr(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean of each slot over m trajectories, and its standard error."""
+        mean = self.sum / m
+        var = np.maximum(self.sumsq / m - mean * mean, 0.0)
+        return mean, np.sqrt(var / max(m - 1, 1))
+
+
+# libm pow, one entry at a time.  Squaring a float scalar with ** goes
+# through it, and it can differ from the x * x that ** 2 on an array
+# computes in the last bit.
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_square(a):
+    return _pow(a, 2.0).astype(float)
 
 
 @dataclass

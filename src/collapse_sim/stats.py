@@ -24,7 +24,8 @@ import numpy as np
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import SimParams, derive_seed, derive_stream  # noqa: F401
-from .sde import _collapsed, _drive_ensemble, _horizon_steps, _start_state, euler_step
+from .sde import (_collapsed, _drive_ensemble, _horizon_steps, _libm_square, _Moments,
+                  _start_state, euler_step)
 
 __all__ = [
     "CollapseStats",
@@ -286,6 +287,11 @@ def correlation_bound_check(
     the moment inequality concerns the raw process.  Grid times snap to
     the nearest step; times past ``params.t_max`` are rejected.  All m
     trajectories start uniform, the situation the bound addresses.
+
+    A block's pair means at a grid step fold in as one row vector, and
+    every grid time's worst pair is picked at once.  The n x n pair sums
+    grow one row at a time, in place: a block's outer products at once
+    would take rows * n * n floats, and measured slower.
     """
     if m < 2:
         raise ValueError("need at least two realizations for standard errors")
@@ -308,8 +314,7 @@ def correlation_bound_check(
     n_pairs = n * (n - 1) / 2.0
 
     g = t_grid.size
-    sum_mean = np.zeros(g)
-    sumsq_mean = np.zeros(g)
+    pair = _Moments(g)
     # Per-pair running sums for locating the worst pair at each time.
     sum_outer = np.zeros((g, n, n))
     sumsq_outer = np.zeros((g, n, n))
@@ -321,30 +326,26 @@ def correlation_bound_check(
     def record(k, state, live):
         # Blocks run in index order and no row leaves, so every slot adds
         # its trajectories one at a time in index order, as a loop over
-        # trajectories would.
+        # trajectories would.  Row sums square through libm, as
+        # float(v.sum()) ** 2 would.
         for slot in step_slots.get(k, ()):
+            sums, squares = state.sum(axis=1), (state * state).sum(axis=1)
+            pair.add(slot, (_libm_square(sums) - squares) / (2.0 * n_pairs))
             for v in state:
-                _record_pair_stats(
-                    v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs
-                )
+                outer = np.outer(v, v)
+                sum_outer[slot] += outer
+                sumsq_outer[slot] += outer * outer
 
     _drive_ensemble(params, 0, m, np.full(n, 2.0 / n), total_steps, euler_step, record)
 
-    mean_pair = sum_mean / m
-    var_mean = np.maximum(sumsq_mean / m - mean_pair**2, 0.0)
-    stderr_mean = np.sqrt(var_mean / (m - 1))
-
-    mean_outer = sum_outer / m
-    off = ~np.eye(n, dtype=bool)
-    max_pair = np.empty(g)
-    stderr_max = np.empty(g)
-    for idx in range(g):
-        masked = np.where(off, mean_outer[idx], -np.inf)
-        flat = int(np.argmax(masked))
-        a, b = divmod(flat, n)
-        max_pair[idx] = mean_outer[idx, a, b]
-        var = max(sumsq_outer[idx, a, b] / m - max_pair[idx] ** 2, 0.0)
-        stderr_max[idx] = math.sqrt(var / (m - 1))
+    mean_pair, stderr_mean = pair.mean_stderr(m)
+    # Each slot's worst off-diagonal pair, the first in row-major order
+    # among equals; its mean is squared through libm, as a scalar's ** 2.
+    mean_outer = (sum_outer / m).reshape(g, n * n)
+    worst = np.where(~np.eye(n, dtype=bool).ravel(), mean_outer, -np.inf).argmax(axis=1)
+    max_pair = mean_outer[np.arange(g), worst]
+    sq_pair = sumsq_outer.reshape(g, n * n)[np.arange(g), worst]
+    stderr_max = np.sqrt(np.maximum(sq_pair / m - _libm_square(max_pair), 0.0) / (m - 1))
 
     bound = 4.0 / (4.0 * grid_times + (n - 1) ** 2)
     margin_mean = _margin(bound, mean_pair, stderr_mean)
@@ -361,15 +362,6 @@ def correlation_bound_check(
         margin_mean=margin_mean,
         margin_max=margin_max,
     )
-
-
-def _record_pair_stats(v, slot, sum_mean, sumsq_mean, sum_outer, sumsq_outer, n_pairs):
-    outer = np.outer(v, v)
-    pair_mean = (float(v.sum()) ** 2 - float((v * v).sum())) / (2.0 * n_pairs)
-    sum_mean[slot] += pair_mean
-    sumsq_mean[slot] += pair_mean * pair_mean
-    sum_outer[slot] += outer
-    sumsq_outer[slot] += outer * outer
 
 
 def _margin(bound, value, stderr):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,17 @@ class TestPurityTrace:
         with pytest.raises(ValueError, match="initial state size does not match n_sites"):
             purity_trace(params, 3, 2, energy=5.0, initial=single_excitation_uniform(4))
 
+    def test_memory_does_not_grow_with_rows_times_steps(self):
+        # A full block of 256 rows over 4000 steps: per-row histories would
+        # hold 256 * 4001 floats (8.2 MB) per recorded quantity.
+        tracemalloc.start()
+        try:
+            purity_trace(SimParams(n_sites=4, dt=1 / 200), 256, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
 
 class TestRowKernelBitwise:
     """The row-wise Bloch code against the one-register loops, bitwise."""
@@ -323,11 +335,21 @@ class TestRowKernelBitwise:
         got = self.assert_trace_equal(params, 2, 10, energy=0.7, tunneling=-0.4, tau_m=2.5)
         assert got.repairs > 0
 
-    @pytest.mark.parametrize("m", [1, 2, 300])
-    def test_purity_trace_blocks(self, m):
-        # m = 300 is one block of 256 and one of 44.
-        params = SimParams(n_sites=4, dt=1 / 25, master_seed=17)
-        self.assert_trace_equal(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)
+    @pytest.mark.parametrize(
+        "m, dt",
+        [
+            pytest.param(1, 1 / 25, id="1"),
+            pytest.param(2, 1 / 25, id="2"),
+            pytest.param(300, 1 / 25, id="300"),
+            pytest.param(300, 0.3, id="300-dt0.3"),
+        ],
+    )
+    def test_purity_trace_blocks(self, m, dt):
+        # m = 300 is one block of 256 and one of 44; dt = 0.3 repairs often.
+        params = SimParams(n_sites=4, dt=dt, master_seed=17)
+        got = self.assert_trace_equal(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)
+        if dt == 0.3:
+            assert got.repairs > m
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_purity_trace_initial_template(self, kind):

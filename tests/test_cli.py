@@ -401,6 +401,29 @@ def test_step_count_past_2_pow_53_is_a_usage_error(argv, subprocess_env):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bloch", "--steps", str(10**14), "--m", "1"],
+        ["sweep", "--m", str(10**14), "--n-list", "4,8,16"],
+    ],
+    ids=["bloch-steps", "sweep-m"],
+)
+def test_run_too_large_to_allocate_is_a_usage_error(argv, subprocess_env):
+    # 10**14 floats are 728 TiB, past any 64-bit process's address space,
+    # so the request fails at once and allocates nothing.
+    proc = subprocess.run(
+        [sys.executable, "-m", "collapse_sim", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
+
+
 
 @pytest.mark.parametrize(
     "argv, csv, summary",

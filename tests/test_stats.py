@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import linregress
+from scipy.linalg import solve
+from scipy.special import expit
+from scipy.stats import linregress, norm
 
 from collapse_sim.core import NoiseKind, SimParams, derive_seed, derive_stream, init_weighted
 from collapse_sim.sde import run_trajectory
@@ -133,6 +135,45 @@ class TestRunEnsemble:
             run_ensemble(p, 10, workers=0)
 
 
+def euler_chain_exit_time(dt, delta, cells=1001):
+    """Mean collapse time of the two-site Euler chain started at V = 1.
+
+    At N = 2 one step moves V = V_1 by V (2 - V) sqrt(dt) (xi_1 - xi_2), a
+    Gaussian of standard deviation V (2 - V) sqrt(2 dt), and the run ends
+    at the first step outside (delta, 2 - delta).  The mean step count
+    solves E = 1 + K E, where K[i, j] is the probability that a step from
+    the middle of cell i lands in cell j.  The cells have equal width in
+    u = ln(V / (2 - V)), so they are fine near the barriers, where the
+    steps are small; with an odd count the middle cell is centred on 1.
+    """
+    reach = math.log((2.0 - delta) / delta)
+    u = np.linspace(-reach, reach, cells + 1)
+    bounds = 2.0 * expit(u)
+    mid = 2.0 * expit(0.5 * (u[1:] + u[:-1]))
+    scale = mid * (2.0 - mid) * math.sqrt(2.0 * dt)
+    below = norm.cdf(bounds[None, :], loc=mid[:, None], scale=scale[:, None])
+    kernel = below[:, 1:] - below[:, :-1]
+    steps = solve(np.eye(cells) - kernel, np.ones(cells))
+    return dt * steps[cells // 2]
+
+
+class TestTwoSiteEulerChain:
+    """run_ensemble at N = 2 against the exact law of its own Euler chain.
+
+    c01's band is about 30 standard errors wide; this pins the engine
+    within 4, with no room for the discretisation error the band hides.
+    """
+
+    def test_chain_mean(self):
+        assert abs(euler_chain_exit_time(1 / 25, 1e-2) - 1.12824) < 1e-4
+
+    def test_ensemble_matches_chain(self):
+        exact = euler_chain_exit_time(1 / 25, 1e-2)
+        st = run_ensemble(SimParams(n_sites=2, master_seed=4242), 20000)
+        assert st.horizon_exceeded == 0
+        assert abs(st.mean_time - exact) < 4.0 * st.stderr_time
+
+
 class TestBlockEngineBitwise:
     """The block engine against the one-trajectory-at-a-time loop, bitwise."""
 
@@ -242,6 +283,12 @@ class TestBlockEngineBitwise:
         # m = 300 is one block of 256 and one of 44.
         params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=31)
         self.assert_check_equal(params, 300, [0.0, 0.5, 1.0])
+
+    def test_bound_check_many_sites(self):
+        # Two blocks of 64-site rows: each step's pair means fold as one
+        # row vector, and each slot picks its worst of 2016 pairs.
+        params = SimParams(n_sites=64, dt=0.04, master_seed=32)
+        self.assert_check_equal(params, 300, [1.0, 0.0, 0.5, 0.5])
 
 
 class TestScalingSweep:
