@@ -336,8 +336,9 @@ def purity_trace(
     dt = params.dt
     first = np.stack((template.x, template.y, template.z))
 
-    # Slot k: site-mean purity after k steps, predicted gain of step k + 1.
-    purity_k = _Moments(n_steps + 1)
+    # Slot k: site-mean purity after k steps; gain of step k + 1 predicted
+    # and its mismatch with the observed one.
+    site_purity = _Moments(n_steps + 1)
     predicted = _Moments(n_steps)
     mismatch = _Moments(n_steps)
     total_repairs = m * template.repairs
@@ -356,7 +357,7 @@ def purity_trace(
         nonlocal before
         x, y, z = xyz
         p = (x**2 + y**2 + z**2).mean(axis=1)
-        purity_k.add(k, p)
+        site_purity.add(k, p)
         if k > 0:
             mismatch.add(k - 1, (p - before[0]) - before[1])
         if k < n_steps:
@@ -369,7 +370,7 @@ def purity_trace(
 
     _drive_ensemble(params, 0, m, first, n_steps, step, observe)
 
-    mean_p, stderr_p = purity_k.mean_stderr(m)
+    mean_p, stderr_p = site_purity.mean_stderr(m)
     mean_d, stderr_d = mismatch.mean_stderr(m)
     return PurityTrace(
         times=dt * np.arange(n_steps + 1),

@@ -160,8 +160,8 @@ def euler_chain_exit_time(dt, delta, cells=1001):
 class TestTwoSiteEulerChain:
     """run_ensemble at N = 2 against the exact law of its own Euler chain.
 
-    c01's band is about 30 standard errors wide; this pins the engine
-    within 4, with no room for the discretisation error the band hides.
+    c01's band [0.85, 1.15] is dozens of standard errors wide; this pins
+    the engine within 4, so a bias that the band would hide shows.
     """
 
     def test_chain_mean(self):
