@@ -64,10 +64,14 @@ def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
 
 
 def _check_times(t: float, tau_m: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if not tau_m > 0.0:
         raise ValueError("tau_m must be positive")
+    if not math.isfinite(tau_m):
+        raise ValueError("tau_m must be finite")
 
 
 def _born_weights(a: np.ndarray) -> np.ndarray:

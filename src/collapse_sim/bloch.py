@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimParams, noise_sampler
-from .sde import _drive_ensemble, _libm_square, _Moments, euler_step
+from .sde import _drive_ensemble, _Moments, euler_step
 
 __all__ = [
     "BlochEnsemble",
@@ -94,6 +94,9 @@ class BlochEnsemble:
             raise ValueError("x, y, z must have identical lengths")
         if self.x.size == 0:
             raise ValueError("need at least one qubit")
+        for name in ("energy", "tunneling", "tau_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tau_m > 0.0:
             raise ValueError("tau_m must be positive")
         if self.repairs < 0:
@@ -256,13 +259,15 @@ def _increments(x, y, z, dt, tau_m):
     """expected_purity_increment of every qubit of (rows, N) arrays.
 
     Each entry has the bits of the scalar formula evaluated with float
-    arithmetic on that qubit of its row alone.
+    arithmetic on that qubit of its row alone.  Its ``** 2`` is libm
+    ``pow``, which can differ from ``x * x`` in the last bit, so the rows
+    square with ``np.float_power``, an element loop over the same ``pow``.
     """
     z = np.ascontiguousarray(z, dtype=float)
     zz = z * z
-    pj = _libm_square(x) + _libm_square(y) + _libm_square(z)
+    pj = np.float_power(x, 2.0) + np.float_power(y, 2.0) + np.float_power(z, 2.0)
     v = 1.0 + z
-    w = _libm_square(v)
+    w = np.float_power(v, 2.0)
     s_v = (v * v).sum(axis=1)[:, None] - w
     s_z = zz.sum(axis=1)[:, None] - zz
     bracket = (1.0 - pj) * (1.0 - zz) + w * s_v + (pj - zz) * s_z

@@ -388,6 +388,8 @@ _CHECK_COLUMNS = (
 
 
 def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
+    if not np.isfinite(s.sigmas):
+        raise ConfigError("sigmas must be finite")
     report = correlation_bound_check(params, s.m, s.t_grid)
     ok = report.satisfied(s.sigmas)
     finite = report.margin_max[np.isfinite(report.margin_max)]

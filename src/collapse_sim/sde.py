@@ -34,8 +34,7 @@ Every ensemble experiment is an observer of one call, ``_drive_ensemble``,
 which cuts the trajectories into blocks and steps each block through
 ``_drive_block`` as the rows of one array; ``run_trajectory`` is a
 one-row block of it.  The fixed-horizon observers fold each recorded
-step into a ``_Moments`` in trajectory order, and square through libm
-``pow`` with ``_libm_square`` where they keep the bits of ``float ** 2``.
+step into a ``_Moments`` in trajectory order.
 """
 
 from __future__ import annotations
@@ -338,16 +337,6 @@ class _Moments:
         mean = self.sum / m
         var = np.maximum(self.sumsq / m - mean * mean, 0.0)
         return mean, np.sqrt(var / max(m - 1, 1))
-
-
-# libm pow, one entry at a time.  Squaring a float scalar with ** goes
-# through it, and it can differ from the x * x that ** 2 on an array
-# computes in the last bit.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _libm_square(a):
-    return _pow(a, 2.0).astype(float)
 
 
 @dataclass

@@ -24,8 +24,8 @@ import numpy as np
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import SimParams, derive_seed, derive_stream  # noqa: F401
-from .sde import (_collapsed, _drive_ensemble, _horizon_steps, _libm_square, _Moments,
-                  _start_state, euler_step)
+from .sde import (_collapsed, _drive_ensemble, _horizon_steps, _Moments, _start_state,
+                  euler_step)
 
 __all__ = [
     "CollapseStats",
@@ -326,11 +326,11 @@ def correlation_bound_check(
     def record(k, state, live):
         # Blocks run in index order and no row leaves, so every slot adds
         # its trajectories one at a time in index order, as a loop over
-        # trajectories would.  Row sums square through libm, as
-        # float(v.sum()) ** 2 would.
+        # trajectories would.  Row sums square with libm pow, as
+        # float(v.sum()) ** 2 does; x * x can differ in the last bit.
         for slot in step_slots.get(k, ()):
             sums, squares = state.sum(axis=1), (state * state).sum(axis=1)
-            pair.add(slot, (_libm_square(sums) - squares) / (2.0 * n_pairs))
+            pair.add(slot, (np.float_power(sums, 2.0) - squares) / (2.0 * n_pairs))
             for v in state:
                 outer = np.outer(v, v)
                 sum_outer[slot] += outer
@@ -340,12 +340,13 @@ def correlation_bound_check(
 
     mean_pair, stderr_mean = pair.mean_stderr(m)
     # Each slot's worst off-diagonal pair, the first in row-major order
-    # among equals; its mean is squared through libm, as a scalar's ** 2.
+    # among equals; its mean squares with libm pow too.
     mean_outer = (sum_outer / m).reshape(g, n * n)
     worst = np.where(~np.eye(n, dtype=bool).ravel(), mean_outer, -np.inf).argmax(axis=1)
     max_pair = mean_outer[np.arange(g), worst]
     sq_pair = sumsq_outer.reshape(g, n * n)[np.arange(g), worst]
-    stderr_max = np.sqrt(np.maximum(sq_pair / m - _libm_square(max_pair), 0.0) / (m - 1))
+    var_max = sq_pair / m - np.float_power(max_pair, 2.0)
+    stderr_max = np.sqrt(np.maximum(var_max, 0.0) / (m - 1))
 
     bound = 4.0 / (4.0 * grid_times + (n - 1) ** 2)
     margin_mean = _margin(bound, mean_pair, stderr_mean)
@@ -403,6 +404,8 @@ def initial_step_experiment(
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon < params.dt:
         raise ValueError("horizon must cover at least one step")
     if horizon > params.t_max:

@@ -357,9 +357,11 @@ class TestBornFrequencies:
             ((uniform_amps(3), 1.0, 0.0, 10, 1), "tau_m must be positive"),
             ((uniform_amps(3), 1.0, math.nan, 10, 1), "tau_m must be positive"),
             ((np.array([1.0, 1.0]), 1.0, 1.0, 10, 1), "amplitudes must satisfy"),
-            ((uniform_amps(3), math.inf, 1.0, 10, 1), "readout entries must be finite"),
+            ((uniform_amps(3), math.inf, 1.0, 10, 1), "t must be finite"),
+            ((uniform_amps(3), 1.0, math.inf, 10, 1), "tau_m must be finite"),
         ],
-        ids=["no-runs", "negative-t", "zero-tau", "nan-tau", "unnormalised", "infinite-t"],
+        ids=["no-runs", "negative-t", "zero-tau", "nan-tau", "unnormalised", "infinite-t",
+             "infinite-tau"],
     )
     def test_rejects_like_reference(self, args, message):
         with np.errstate(invalid="ignore"):

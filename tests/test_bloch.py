@@ -77,6 +77,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BlochEnsemble(np.zeros(2), np.zeros(2), np.zeros(2), tau_m=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["energy", "tunneling", "tau_m"])
+    def test_non_finite_drive_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BlochEnsemble(np.zeros(2), np.zeros(2), np.zeros(2), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            purity_trace(SimParams(n_sites=2), 4, 5, **{name: value})
+
 
 class TestCorrelation:
     def test_collapsed_pair(self):
@@ -309,6 +317,18 @@ class TestRowKernelBitwise:
             for j in range(n):
                 assert increments[r, j] == reference_expected_purity_increment(state, j, dt)
 
+    def test_increments_square_like_the_reference(self):
+        # The reference squares with ** (libm pow); on these rows pow and
+        # x * x part on some entry of every squared array.
+        rng = np.random.default_rng(7)
+        states = [random_ball_state(rng, 6, 0.7, -0.4, 2.5) for _ in range(4000)]
+        x, y, z = (np.array([getattr(s, c) for s in states]) for c in "xyz")
+        assert all(np.any(np.float_power(a, 2.0) != a * a) for a in (x, y, z, 1.0 + z))
+        increments = _increments(x, y, z, 0.04, 2.5)
+        for r, state in enumerate(states):
+            for j in range(6):
+                assert increments[r, j] == reference_expected_purity_increment(state, j, 0.04)
+
     def test_row_kernel_repairs_rows(self):
         rng = np.random.default_rng(4)
         states = [random_ball_state(rng, 6, 0.7, -0.4, 2.5) for _ in range(8)]
@@ -360,3 +380,18 @@ class TestRowKernelBitwise:
         params = SimParams(n_sites=5, dt=0.3, noise_kind=kind, master_seed=21)
         got = self.assert_trace_equal(params, 3, 6, energy=5.0, initial=initial)
         assert got.repairs > 3 * 3
+
+
+def test_float_power_squares_with_libm_pow():
+    # The reference squares float scalars with **, which is libm pow; the
+    # row kernels square with np.float_power and must keep those bits.
+    rng = np.random.default_rng(20)
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 100_000),
+        rng.uniform(0.0, 2.0, 100_000),
+        np.ldexp(rng.uniform(-2.0, 2.0, 100_000), rng.integers(-60, 61, 100_000)),
+    ])
+    libm = np.array([math.pow(v, 2.0) for v in x.tolist()])
+    assert np.array_equal(np.float_power(x, 2.0).view(np.int64), libm.view(np.int64))
+    # pow and x * x part in the last bit on some of these values.
+    assert np.any(libm != x * x)

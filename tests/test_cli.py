@@ -357,6 +357,32 @@ def test_non_finite_time_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["bloch", "--energy", "nan", "--m", "4", "--steps", "5"],
+        ["bloch", "--tunneling", "inf", "--m", "4", "--steps", "5"],
+        ["bloch", "--tau-m", "inf", "--m", "4", "--steps", "5"],
+        ["bayes", "--tau-m", "inf", "--m", "10", "--n-sites", "3"],
+        ["bayes", "--t", "inf"],
+        ["sweep", "--mode", "step", "--horizon", "nan"],
+        ["check", "--m", "20", "--n-sites", "4", "--sigmas", "nan"],
+        ["check", "--m", "20", "--n-sites", "4", "--sigmas", "inf"],
+    ],
+    ids=["bloch-energy-nan", "bloch-tunneling-inf", "bloch-tau-m-inf", "bayes-tau-m-inf",
+         "bayes-t-inf", "step-horizon-nan", "check-sigmas-nan", "check-sigmas-inf"],
+)
+def test_non_finite_setting_is_a_usage_error_before_any_run(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not list(Path().iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, text",
     [
         (["sweep", "--bogus", "1"], "unrecognized arguments: --bogus 1"),

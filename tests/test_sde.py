@@ -509,4 +509,5 @@ def test_layering():
     assert "stats" not in _package_imports("bloch")
     # Only sde cuts ensembles into blocks; the experiments are observers.
     for name in ("stats", "bloch"):
-        assert not _imported_names(name) & {"_BLOCK", "_drive_block", "_block_streams"}
+        assert not _imported_names(name) & {"_BLOCK", "_drive_block", "_BlockNoise",
+                                                 "_DRAW_CAP", "derive_streams"}

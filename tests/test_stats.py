@@ -290,6 +290,12 @@ class TestBlockEngineBitwise:
         params = SimParams(n_sites=64, dt=0.04, master_seed=32)
         self.assert_check_equal(params, 300, [1.0, 0.0, 0.5, 0.5])
 
+    def test_bound_check_squares_like_the_reference(self):
+        # A run whose stderr_max takes other bits if the worst pair's mean
+        # is squared as x * x rather than with the reference's libm pow.
+        params = SimParams(n_sites=6, dt=0.04, master_seed=39)
+        self.assert_check_equal(params, 40, [0.0, 0.5, 1.0])
+
 
 class TestScalingSweep:
     def test_single_row_matches_direct_run(self):
