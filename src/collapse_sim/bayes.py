@@ -31,6 +31,7 @@ on the block size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ __all__ = [
 _NORM_ATOL = 1e-9
 # Records conditioned and tallied together by born_frequencies.
 _BLOCK_ROWS = 1024
+# Largest readout drift t / tau_m whose signals stay finite.
+_MAX_DRIFT = sys.float_info.max / 4
 
 
 def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
@@ -72,6 +75,9 @@ def _check_times(t: float, tau_m: float) -> None:
         raise ValueError("tau_m must be positive")
     if not math.isfinite(tau_m):
         raise ValueError("tau_m must be finite")
+    # Signals reach about 2 t / tau_m apart, which must not overflow.
+    if not t / tau_m < _MAX_DRIFT:
+        raise ValueError(f"t / tau_m must be finite and below {_MAX_DRIFT:.4g}")
 
 
 def _born_weights(a: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ flow cannot, so every step ends with a boundary repair: components are
 clamped to ``[0, 2]``, the budget left by sites clamped at 0 goes to the
 free ones, and the row is rescaled so its total is exactly 2.  All rows
 of a block are repaired together from one sort of each clipped row, and
-each comes out with the same bits as on its own.  A step sorts each row
+each comes out with the same bits as on its own; a block with no entry
+outside ``[0, 2]`` goes straight to the rescale.  A step sorts each row
 twice in all: once for ``S`` and once in the repair.  The clamping bias
 is O(dt) and vanishes under refinement.
 
@@ -33,7 +34,10 @@ Cross-site reductions use sorted summation so that relabeling the sites
 Every ensemble experiment is an observer of one call, ``_drive_ensemble``,
 which cuts the trajectories into blocks and steps each block through
 ``_drive_block`` as the rows of one array; ``run_trajectory`` is a
-one-row block of it.  The fixed-horizon observers fold each recorded
+one-row block of it.  A block holds ``_block_rows(n)`` trajectories of
+n sites: 256, or up to 2^14 / n when the noise budget still draws 8
+steps a row ahead, so small registers pay the per-step Python cost once
+per thousands of rows.  The fixed-horizon observers fold each recorded
 step into a ``_Moments`` in trajectory order.
 """
 
@@ -54,12 +58,22 @@ __all__ = [
     "TrajectoryResult",
 ]
 
-# Trajectories are stepped in fixed blocks of this size, so the
-# partitioning never depends on the worker count.
+# The fewest trajectories a block holds.
 _BLOCK = 256
 
 # Floats of noise drawn ahead for all live rows of a block together.
 _DRAW_CAP = 1 << 17
+
+
+def _block_rows(n: int) -> int:
+    """Trajectories per block for registers of ``n`` sites.
+
+    At least ``_BLOCK``; a larger block still draws at least 8 steps per
+    row within ``_DRAW_CAP``, so small registers step up to 2^14 / n rows
+    at once and n >= 64 keeps ``_BLOCK``.  The size depends on n alone,
+    never on the worker count.
+    """
+    return max(_BLOCK, _DRAW_CAP // (8 * n))
 
 
 def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -123,14 +137,22 @@ def _repair_simplex(raw: np.ndarray) -> np.ndarray:
     """
     n = raw.shape[-1]
     lower = raw < 0.0
-    # Clamped sites hold exactly 0 or 2, so the budget is exact in any
-    # order: 2 while no site passed 2, and not positive once one did.  So
-    # a row spreads it only if it has sites clamped at 0, none at 2, and
-    # some free sites left; every other row gets the final rescale alone.
-    counts = lower.sum(axis=1)
-    counts[(raw > 2.0).any(axis=1)] = 0
-    groups = set(counts.tolist()) - {0, n}
-    w = np.clip(raw, 0.0, 2.0, out=raw)
+    upper = raw > 2.0
+    groups = set()
+    # A block with nothing outside [0, 2] clamps and spreads nothing, and
+    # np.clip would keep every value, -0.0 and NaN included, so it goes
+    # straight to the rescale.
+    if lower.any() or upper.any():
+        # Clamped sites hold exactly 0 or 2, so the budget is exact in any
+        # order: 2 while no site passed 2, and not positive once one did.
+        # So a row spreads it only if it has sites clamped at 0, none at
+        # 2, and some free sites left; every other row gets the final
+        # rescale alone.
+        counts = lower.sum(axis=1)
+        counts[upper.any(axis=1)] = 0
+        groups = set(counts.tolist()) - {0, n}
+        np.clip(raw, 0.0, 2.0, out=raw)
+    w = raw
     sw = np.sort(w, axis=-1)
     if groups:
         # A free sum of 2 scales a row by exactly 1.0.
@@ -228,11 +250,14 @@ class _BlockNoise:
     ``draw(stream, (k, n))``, which yields the same numbers as k calls of
     ``draw(stream, n)``.  A chunk holds at most ``_DRAW_CAP`` floats over
     all live rows, or one step when a step alone is larger, so it never
-    holds more than the larger of the cap and the block's state.
+    holds more than the larger of the cap and the block's state.  The
+    live rows are an index array into ``streams``, so dropping rows is
+    one gather.
     """
 
     def __init__(self, kind, n: int, streams: list, steps: int):
         self._streams = streams
+        self._live = np.arange(len(streams))
         self._draw = noise_sampler(kind)
         self._n = n
         self._left = steps
@@ -254,15 +279,15 @@ class _BlockNoise:
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is false; later steps skip them."""
-        self._streams = [s for s, k in zip(self._streams, mask) if k]
+        self._live = self._live[mask]
         self._slot = mask.nonzero()[0] if self._slot is None else self._slot[mask]
 
     def _refill(self) -> None:
-        rows = len(self._streams)
+        rows = self._live.size
         k = max(1, min(self._left, _DRAW_CAP // (rows * self._n)))
         buf = np.empty((k, rows, self._n))
-        for r, stream in enumerate(self._streams):
-            buf[:, r, :] = self._draw(stream, (k, self._n))
+        for r, i in enumerate(self._live.tolist()):
+            buf[:, r, :] = self._draw(self._streams[i], (k, self._n))
         self._buf = buf
         self._pos = 0
         self._slot = None
@@ -303,18 +328,20 @@ def _drive_block(params: SimParams, streams: list, live: np.ndarray, steps: int,
 
 def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
                     steps: int, step, observe) -> None:
-    """Run trajectories [start, stop) through ``_drive_block``, ``_BLOCK`` at a time.
+    """Run trajectories [start, stop) through ``_drive_block``, in blocks.
 
-    Trajectory i draws from ``derive_stream(params.master_seed, i)`` (a
-    block's streams are built at once by ``derive_streams``) and starts
-    from ``first`` (an (n,) or a (3, n) row), repeated along a new
+    A block holds ``_block_rows(n)`` trajectories, n being the sites of
+    ``first``.  Trajectory i draws from ``derive_stream(params.master_seed,
+    i)`` (a block's streams are built at once by ``derive_streams``) and
+    starts from ``first`` (an (n,) or a (3, n) row), repeated along a new
     second-to-last axis.  Blocks run in index order; the observer sees
     trajectory indices in ``live``.  No trajectory's bits depend on the
     block or the range it runs in.
     """
+    size = _block_rows(first.shape[-1])
     first = np.expand_dims(first, -2)
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
         streams = derive_streams(params.master_seed, lo, hi)
         _drive_block(params, streams, np.arange(lo, hi), steps,
                      np.repeat(first, hi - lo, axis=-2), step, observe)

@@ -5,6 +5,21 @@ import pytest
 
 
 @pytest.fixture
+def blocks_of_256(monkeypatch):
+    """Cut ensembles into blocks of 256 trajectories at every N >= 2.
+
+    ``sde._block_rows`` sizes a block from the noise budget ``_DRAW_CAP``,
+    so at small N an ensemble of a few hundred trajectories runs as one
+    block.  A budget of 2^12 floats gives the 256-row floor at every
+    N >= 2, so such an ensemble crosses a block boundary.
+    """
+    from collapse_sim import sde
+
+    monkeypatch.setattr(sde, "_DRAW_CAP", 1 << 12)
+    assert sde._block_rows(2) == 256
+
+
+@pytest.fixture
 def subprocess_env():
     """Environment for a child interpreter that must import ``collapse_sim``.
 

@@ -359,10 +359,13 @@ class TestBornFrequencies:
             ((np.array([1.0, 1.0]), 1.0, 1.0, 10, 1), "amplitudes must satisfy"),
             ((uniform_amps(3), math.inf, 1.0, 10, 1), "t must be finite"),
             ((uniform_amps(3), 1.0, math.inf, 10, 1), "tau_m must be finite"),
+            ((uniform_amps(2), 1e308, 1.0, 5, 1), r"t / tau_m must be finite"),
+            ((uniform_amps(2), 1e300, 1e-10, 5, 1), r"t / tau_m must be finite"),
         ],
         ids=["no-runs", "negative-t", "zero-tau", "nan-tau", "unnormalised", "infinite-t",
-             "infinite-tau"],
+             "infinite-tau", "huge-t", "huge-drift"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejects_like_reference(self, args, message):
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match=message) as got:

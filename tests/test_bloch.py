@@ -364,7 +364,7 @@ class TestRowKernelBitwise:
             pytest.param(300, 0.3, id="300-dt0.3"),
         ],
     )
-    def test_purity_trace_blocks(self, m, dt):
+    def test_purity_trace_blocks(self, m, dt, blocks_of_256):
         # m = 300 is one block of 256 and one of 44; dt = 0.3 repairs often.
         params = SimParams(n_sites=4, dt=dt, master_seed=17)
         got = self.assert_trace_equal(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)

@@ -367,9 +367,12 @@ def test_non_finite_time_is_a_usage_error(argv, capsys):
         ["sweep", "--mode", "step", "--horizon", "nan"],
         ["check", "--m", "20", "--n-sites", "4", "--sigmas", "nan"],
         ["check", "--m", "20", "--n-sites", "4", "--sigmas", "inf"],
+        ["bayes", "--weights", "1,2", "--t", "1e308", "--m", "5"],
+        ["bayes", "--weights", "1,2", "--t", "1e300", "--tau-m", "1e-10"],
     ],
     ids=["bloch-energy-nan", "bloch-tunneling-inf", "bloch-tau-m-inf", "bayes-tau-m-inf",
-         "bayes-t-inf", "step-horizon-nan", "check-sigmas-nan", "check-sigmas-inf"],
+         "bayes-t-inf", "step-horizon-nan", "check-sigmas-nan", "check-sigmas-inf",
+         "bayes-huge-t", "bayes-huge-drift"],
 )
 def test_non_finite_setting_is_a_usage_error_before_any_run(argv, capsys):
     with warnings.catch_warnings():

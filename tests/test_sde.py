@@ -1,6 +1,6 @@
 import ast
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_sim
+from collapse_sim import sde
+from collapse_sim.bloch import purity_trace
 from collapse_sim.core import NoiseKind, SimParams, derive_stream, init_weighted, validate_state
 from collapse_sim.sde import (
     TrajectoryResult,
@@ -18,6 +20,7 @@ from collapse_sim.sde import (
     increment,
     run_trajectory,
 )
+from collapse_sim.stats import _run_block, correlation_bound_check, initial_step_experiment
 
 from reference import (
     random_simplex_state,
@@ -276,6 +279,24 @@ class TestRepairSimplex:
         moved = _repair_simplex(np.ascontiguousarray(raw[:, perm]))
         assert np.array_equal(moved, out[:, perm])
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_blocks_without_clamps_at_0(self, n):
+        # A block with no entry outside [0, 2] skips the clamp; -0.0, 0, 2
+        # and NaN sit inside.  A block whose only outside entries are past
+        # 2 must still clamp them.
+        rng = np.random.default_rng(70 + n)
+        inside = np.array([random_simplex_state(rng, n) for _ in range(5)])
+        inside[0, 0] = -0.0
+        inside[1, -1] = 0.0
+        inside[2, 0] = 2.0
+        inside[3, -1] = np.nan
+        above = inside[:3].copy()
+        above[:, 0] = 2.0 + rng.random(3)
+        for raw in (inside, above):
+            out = _repair_simplex(raw.copy())
+            for r in range(len(raw)):
+                assert out[r].tobytes() == reference_repair_simplex(raw[r].copy()).tobytes(), r
+
     def test_mid_run_block_with_many_clamp_counts(self):
         # A 200-row block at N = 512, 50 steps into a run, where the next
         # step clamps rows at many distinct counts c.
@@ -455,6 +476,48 @@ class TestRunTrajectoryBitwise:
             self.assert_same(params, 2, start, path_stride=path_stride)
 
 
+class TestBlockRows:
+    """How ``_drive_ensemble`` cuts an ensemble into blocks."""
+
+    def test_rule(self):
+        for n in [*range(1, 130), 255, 256, 512, 1000, 4096]:
+            rows = sde._block_rows(n)
+            assert rows >= sde._BLOCK
+            if rows > sde._BLOCK:
+                assert sde._DRAW_CAP // (rows * n) >= 8
+        assert [sde._block_rows(n) for n in (2, 16, 64, 512)] == [8192, 1024, 256, 256]
+
+    def test_observers_do_not_depend_on_block_size(self, monkeypatch):
+        # Five ensembles of m = 600, two of them (N = 3 and 2) in the step
+        # experiment and the rest at N = 2.  Budgets of 2^12 and 2^13
+        # floats cut each into blocks of 256 rows, or of 512 (N = 2) and
+        # 341 (N = 3), so into 3 or 2 blocks; m is a multiple of none.  The
+        # default budget runs each as one block.
+        params = SimParams(n_sites=2, dt=0.04, master_seed=61)
+        m = 600
+        blocks = []
+        drive_block = sde._drive_block
+
+        def counted(*args):
+            blocks[-1] += 1
+            drive_block(*args)
+
+        monkeypatch.setattr(sde, "_drive_block", counted)
+        runs = []
+        for cap in (1 << 12, 1 << 13, sde._DRAW_CAP):
+            monkeypatch.setattr(sde, "_DRAW_CAP", cap)
+            blocks.append(0)
+            results = [
+                _run_block((params, 0, m, None)),
+                astuple(correlation_bound_check(params, m, [0.0, 0.5, 1.0])),
+                astuple(initial_step_experiment([2, 3], params, horizon=0.6, m=m)),
+                astuple(purity_trace(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)),
+            ]
+            runs.append([[np.asarray(v).tobytes() for v in r] for r in results])
+        assert blocks == [5 * 3, 5 * 2, 5]
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestMartingaleShort:
     def test_mean_preserved_small_ensemble(self):
         # 5 standard errors around the initial value after 10 steps.
@@ -509,5 +572,5 @@ def test_layering():
     assert "stats" not in _package_imports("bloch")
     # Only sde cuts ensembles into blocks; the experiments are observers.
     for name in ("stats", "bloch"):
-        assert not _imported_names(name) & {"_BLOCK", "_drive_block", "_BlockNoise",
-                                                 "_DRAW_CAP", "derive_streams"}
+        assert not _imported_names(name) & {"_BLOCK", "_block_rows", "_drive_block",
+                                                 "_BlockNoise", "_DRAW_CAP", "derive_streams"}

@@ -221,14 +221,14 @@ class TestBlockEngineBitwise:
         assert run_ensemble(params, 10, initial=start).mean_time == 0.0
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
-    def test_two_blocks_and_workers(self, kind):
+    def test_two_blocks_and_workers(self, kind, blocks_of_256):
         # m = 300 is one block of 256 and one of 44.
         params = SimParams(n_sites=2, dt=0.04, noise_kind=kind, master_seed=42)
         self.assert_ensemble_equal(params, 300)
         self.assert_ensemble_equal(params, 300, workers=2)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
-    def test_step_experiment(self, kind):
+    def test_step_experiment(self, kind, blocks_of_256):
         # m = 260 spans two blocks; dt = 0.3 forces clamps.
         for dt, m in ((0.04, 260), (0.3, 20)):
             params = SimParams(n_sites=2, dt=dt, noise_kind=kind, master_seed=9)
@@ -279,7 +279,7 @@ class TestBlockEngineBitwise:
         self.assert_check_equal(params, 2, [1.2, 0.0, 0.5, 0.5])
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
-    def test_bound_check_two_blocks(self, kind):
+    def test_bound_check_two_blocks(self, kind, blocks_of_256):
         # m = 300 is one block of 256 and one of 44.
         params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=31)
         self.assert_check_equal(params, 300, [0.0, 0.5, 1.0])
