@@ -17,7 +17,7 @@ MACHINE = {"nproc": 2, "usable_cpus": 2, "cpu_model": "cpu", "python": "3.11.7",
            "numpy": "2.4.6", "scipy": "1.17.1"}
 
 
-def write_record(checkout, workload, seed, commit, wall, seconds=21, **machine):
+def write_record(checkout, workload, seed, commit, wall, seconds=21, trace=0, **machine):
     out = checkout / "perfbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     record = {
@@ -27,7 +27,9 @@ def write_record(checkout, workload, seed, commit, wall, seconds=21, **machine):
         "metrics": {"wall_s": {"value": wall, "unit": "s"},
                     "site_steps_per_s": {"value": 1.0 / wall, "unit": "1/s"}},
     }
-    (out / f"{workload}.seed{seed}.trace0.json").write_text(json.dumps(record))
+    if trace:
+        record["metrics"]["sde.euler_step.calls"] = {"value": round(100 * wall), "unit": "count"}
+    (out / f"{workload}.seed{seed}.trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_pairs_and_summary(tmp_path):
@@ -53,6 +55,28 @@ def test_pairs_and_summary(tmp_path):
     assert summary["wall_s"]["change_wins"] == 2
     assert summary["site_steps_per_s"]["change_wins"] == 2
     assert list(bench["summary"]) == ["fixed-horizon"]
+
+
+def test_traced_pairs_keep_per_layer_metrics(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_record(parent, "sweep-small-n", 7, "aaa", 0.9)
+    write_record(change, "sweep-small-n", 7, "bbb", 0.6)
+    for seed in (8, 9):
+        write_record(parent, "sweep-small-n", seed, "aaa", 11.52, trace=1)
+    write_record(change, "sweep-small-n", 8, "bbb", 6.11, trace=1)
+    traced = bench_pairs.collect_traced(
+        bench_pairs.load_records(parent, bench_pairs.TRACED_GLOB),
+        bench_pairs.load_records(change, bench_pairs.TRACED_GLOB),
+        [{"name": "sde.euler_step.calls", "unit": "count", "better": "lower"}],
+    )
+    assert traced == [{"workload": "sweep-small-n", "seed": 8,
+                       "parent": {"sde.euler_step.calls": 1152},
+                       "change": {"sde.euler_step.calls": 611}}]
+    # The untraced records pair as before, without the traced ones.
+    bench = bench_pairs.collect(
+        bench_pairs.load_records(parent), bench_pairs.load_records(change), END_TO_END
+    )
+    assert [(p["workload"], p["seed"]) for p in bench["pairs"]] == [("sweep-small-n", 7)]
 
 
 @pytest.mark.parametrize(

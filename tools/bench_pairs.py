@@ -20,6 +20,10 @@ stores the test suite's durations: each LOG is the output of one
 ``pytest --durations=0`` run of that side, and the file gets, per test
 and phase, the seconds of every run of each side, and the suite's wall
 time per run.
+
+Records of traced runs (``--trace 1``, ``<workload>.seed<seed>.trace1.json``)
+that both checkouts hold for the same workload and seed are stored too,
+as pairs of their per-layer metrics.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD_GLOB = "*.trace0.json"
+TRACED_GLOB = "*.trace1.json"
 MACHINE_KEYS = ("nproc", "usable_cpus", "cpu_model", "python", "numpy", "scipy")
 
 
-def load_records(checkout: Path) -> dict:
-    """The untraced run records of a checkout, keyed by (workload, seed)."""
+def load_records(checkout: Path, pattern: str = RECORD_GLOB) -> dict:
+    """The run records of a checkout, untraced by default, keyed by (workload, seed)."""
     records = {}
-    for path in sorted((checkout / "perfbench" / "out").glob(RECORD_GLOB)):
+    for path in sorted((checkout / "perfbench" / "out").glob(pattern)):
         record = json.loads(path.read_text())
         record["mtime"] = path.stat().st_mtime
         records[(record["workload"], record["seed"])] = record
@@ -108,6 +113,20 @@ def collect(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
     }
 
 
+def collect_traced(parent: dict, change: dict, per_layer: list[dict]) -> list[dict]:
+    """The per-layer metrics of every traced run common to both sides."""
+    names = [m["name"] for m in per_layer]
+    return [
+        {
+            "workload": w,
+            "seed": s,
+            **{label: {n: records[w, s]["metrics"][n]["value"] for n in names}
+               for label, records in (("parent", parent), ("change", change))},
+        }
+        for w, s in sorted(parent.keys() & change.keys())
+    ]
+
+
 DURATION_LINE = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)")
 SUITE_LINE = re.compile(r"\b(?:passed|failed|errors?|skipped)\b.* in (\d+(?:\.\d+)?)s\b")
 
@@ -154,9 +173,14 @@ def main(argv=None) -> int:
         parser.error("--label may hold only letters, digits, '_', '.' and '-'")
     if bool(args.parent_durations) != bool(args.change_durations):
         parser.error("give --parent-durations and --change-durations together")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
-        bench = collect(load_records(args.parent), load_records(args.change), end_to_end)
+        bench = collect(load_records(args.parent), load_records(args.change),
+                        benchmark["end_to_end"])
+        traced = collect_traced(load_records(args.parent, TRACED_GLOB),
+                                load_records(args.change, TRACED_GLOB), benchmark["per_layer"])
+        if traced:
+            bench["traced"] = traced
         if args.parent_durations:
             bench["durations"] = collect_durations(
                 [load_durations(p) for p in args.parent_durations],
