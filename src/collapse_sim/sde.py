@@ -58,7 +58,7 @@ __all__ = [
     "TrajectoryResult",
 ]
 
-# The fewest trajectories a block holds.
+# Trajectories per block at 64 sites and more; no register gets fewer.
 _BLOCK = 256
 
 # Floats of noise drawn ahead for all live rows of a block together.
