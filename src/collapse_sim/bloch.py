@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, noise_sampler
+from .core import SimParams, init_uniform, noise_sampler
 from .sde import _drive_ensemble, _Moments, euler_step
 
 __all__ = [
@@ -401,7 +401,7 @@ def twin_deviation(params: SimParams, n_steps: int, stream: np.random.Generator)
     if n_steps < 1:
         raise ValueError("need at least one twin step")
     n = params.n_sites
-    v = np.full(n, 2.0 / n)
+    v = init_uniform(n)
     state = single_excitation_uniform(n, tau_m=1.0)
     draw = noise_sampler(params.noise_kind)
     worst = 0.0

@@ -16,8 +16,9 @@ Outputs are CSV tables with a header row and LF line endings, plus JSON
 summaries whose first key is schema_version, all written by
 ``_write_outputs``.  Floats are printed with 17
 significant digits so files round-trip and reruns are byte-identical.
-Exit codes: 0 success, 2 config error or a run too large to allocate,
-3 failed strict bound check.
+Exit codes: 0 success, 2 config error, a run too large to allocate or
+an output file that cannot be opened for writing, 3 failed strict bound
+check.
 
 Worker parallelism is capped by --threads (fallback: the
 COLLAPSE_SIM_THREADS environment variable); results never depend on it.
@@ -83,6 +84,14 @@ def _render_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
+def _create(path: str):
+    """``path`` opened for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+
+
 def _write_outputs(
     output: str, header: list[str], rows, summary_output: str | None = None,
     summary: dict | None = None,
@@ -90,15 +99,16 @@ def _write_outputs(
     """Write the CSV table and, when given, the JSON summary.
 
     The summary gets schema_version as its first key.  Each file written
-    is named on stdout as ``wrote <path>``.
+    is named on stdout as ``wrote <path>``.  A file that cannot be opened
+    raises ConfigError; the files written before it stay.
     """
-    with open(output, "w", newline="\n") as fh:
+    with _create(output) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
     print(f"wrote {output}")
     if summary_output is not None:
-        with open(summary_output, "w", newline="\n") as fh:
+        with _create(summary_output) as fh:
             fh.write(_render_json({"schema_version": SCHEMA_VERSION, **summary}) + "\n")
         print(f"wrote {summary_output}")
 
@@ -286,8 +296,6 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
         )
         return 0
 
-    if s.m < 1:
-        raise ConfigError("m must be a positive integer")
     # The fit's own input checks, made before the sweep rather than after it.
     if s.n_min < 4:
         raise ConfigError("n_min must be at least 4")

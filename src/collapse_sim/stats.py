@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
-from .core import SimParams, derive_seed, derive_stream  # noqa: F401
+from .core import SimParams, derive_seed, derive_stream, init_uniform  # noqa: F401
 from .sde import (_collapsed, _drive_ensemble, _horizon_steps, _Moments, _start_state,
                   euler_step)
 
@@ -141,6 +141,18 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     return times, winners
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean of stored per-trajectory values and its standard error.
+
+    No values give NaN and NaN; a single value has an error of 0.
+    """
+    k = values.size
+    if k == 0:
+        return math.nan, math.nan
+    stderr = float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+    return float(values.mean()), stderr
+
+
 def run_ensemble(
     params: SimParams,
     m: int,
@@ -150,9 +162,10 @@ def run_ensemble(
     """Collapse-time statistics over m independent trajectories.
 
     Trajectory i always runs on the stream derived from
-    (params.master_seed, i); with workers > 1 the indices are split into
-    contiguous ranges farmed out to processes, and the concatenated
-    results are identical to the serial ones.
+    (params.master_seed, i).  The indices are split into min(workers, m)
+    contiguous ranges; one range runs in this process, several are
+    farmed out to worker processes.  Either way the ranges' results are
+    joined in index order, so they are identical to the serial ones.
     """
     if m < 1:
         raise ValueError("need at least one realization")
@@ -161,25 +174,16 @@ def run_ensemble(
     initial = _start_state(params.n_sites, initial)
 
     parts = min(workers, m)
+    cuts = [m * w // parts for w in range(parts + 1)]
+    ranges = [(params, lo, hi - lo, initial) for lo, hi in zip(cuts, cuts[1:])]
     if parts == 1:
-        times, winners = _run_block((params, 0, m, initial))
+        results = list(map(_run_block, ranges))
     else:
-        cuts = [m * w // parts for w in range(parts + 1)]
-        ranges = [(params, lo, hi - lo, initial) for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=parts) as pool:
             results = list(pool.map(_run_block, ranges))
-        times = np.concatenate([r[0] for r in results])
-        winners = np.concatenate([r[1] for r in results])
+    times, winners = (np.concatenate(part) for part in zip(*results))
     collapsed = ~np.isnan(times)
-    k = int(collapsed.sum())
-    if k > 0:
-        mean = float(times[collapsed].mean())
-        stderr = (
-            float(times[collapsed].std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-        )
-    else:
-        mean = math.nan
-        stderr = math.nan
+    mean, stderr = _mean_stderr(times[collapsed])
     hist = np.bincount(winners[collapsed], minlength=params.n_sites)
     return CollapseStats(
         n_sites=params.n_sites,
@@ -187,7 +191,7 @@ def run_ensemble(
         mean_time=mean,
         stderr_time=stderr,
         winner_histogram=hist,
-        horizon_exceeded=m - k,
+        horizon_exceeded=m - int(collapsed.sum()),
     )
 
 
@@ -336,7 +340,7 @@ def correlation_bound_check(
                 sum_outer[slot] += outer
                 sumsq_outer[slot] += outer * outer
 
-    _drive_ensemble(params, 0, m, np.full(n, 2.0 / n), total_steps, euler_step, record)
+    _drive_ensemble(params, 0, m, init_uniform(n), total_steps, euler_step, record)
 
     mean_pair, stderr_mean = pair.mean_stderr(m)
     # Each slot's worst off-diagonal pair, the first in row-major order
@@ -396,10 +400,11 @@ def initial_step_experiment(
 ) -> StepSizeReport:
     """Track how far site 1 climbs within a fixed early window.
 
-    Integrates the raw diffusion to the horizon with no stopping rule and
-    records the running maximum of V_1 minus its starting value.  Rejects
-    horizons shorter than one step or longer than ``params.t_max``.  Row
-    N runs on the seed derived from (params.master_seed, N).
+    Integrates the raw diffusion from the uniform start to the horizon
+    with no stopping rule and records the running maximum of V_1 minus
+    its starting value 2 / N.  Rejects horizons shorter than one step or
+    longer than ``params.t_max``.  Row N runs on the seed derived from
+    (params.master_seed, N).
     """
     n_list = [int(n) for n in n_list]
     if not n_list:
@@ -418,7 +423,8 @@ def initial_step_experiment(
     means = np.empty(len(n_list))
     stderrs = np.empty(len(n_list))
     for row, n in enumerate(n_list):
-        v0 = 2.0 / n
+        start = init_uniform(n)
+        v0 = start[0]
         rises = np.zeros(m)
 
         def rise(k, state, live):
@@ -427,9 +433,8 @@ def initial_step_experiment(
             up = state[:, 0] - v0
             np.copyto(best, up, where=up > best)
 
-        _drive_ensemble(_row_params(params, n), 0, m, np.full(n, v0), steps, euler_step, rise)
-        means[row] = rises.mean()
-        stderrs[row] = rises.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
+        _drive_ensemble(_row_params(params, n), 0, m, start, steps, euler_step, rise)
+        means[row], stderrs[row] = _mean_stderr(rises)
     return StepSizeReport(
         n_values=np.asarray(n_list),
         horizon=steps * params.dt,

@@ -453,6 +453,24 @@ def test_run_too_large_to_allocate_is_a_usage_error(argv, subprocess_env):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["bayes", "--m", "10", "--output", "missing/x.csv"], []),
+        (["bayes", "--m", "10", "--summary-output", "missing/x.json"], ["bayes.csv"]),
+        (SWEEP_ARGS + ["--fit-output", "missing/x.json"], ["sweep.csv"]),
+    ],
+    ids=["output", "summary-output", "fit-output"],
+)
+def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error: cannot write") and argv[-1] in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # The files before the bad one are written and named as usual.
+    assert out.splitlines() == [f"wrote {name}" for name in written]
+
 
 @pytest.mark.parametrize(
     "argv, csv, summary",

@@ -13,10 +13,16 @@ CHEAP = {"trajectory": ["trajectory", "--n-sites", "3", "--master-seed", "5", "-
 
 def test_cases_cover_c12_fixed_horizon_and_extras():
     cases = cli_bytes.cases()
-    assert len(cases) == 5 + 8 + 6
+    assert len(cases) == 5 + 8 + 9
     assert cases["fixed-horizon-check-seed17"][0] == "check"
     # Outputs land in the temporary directory of each run.
     assert not any(arg.startswith("/") for argv in cases.values() for arg in argv)
+
+
+def test_c12_cases_are_the_acceptance_suites():
+    from test_acceptance import CLI_CASES
+
+    assert [argv for argv, _ in CLI_CASES.values()] == list(cli_bytes.C12_CASES.values())
 
 
 def test_same_digest_twice_and_a_changed_one_is_named(tmp_path):

@@ -14,7 +14,9 @@ invocation whose exit code or digest differs, and 0 when all agree.
 
 The list holds the acceptance suite's c12 cases, the four fixed-horizon
 operations of ``perfbench/workloads.py`` at seeds 3 and 17, and runs that
-reach the squared moments, the driven Bloch stepper and its repairs.
+reach the squared moments, the driven Bloch stepper and its repairs, one
+trajectory per sweep row (a standard error of 0) and a sweep over two
+worker processes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def _fixed_horizon_cases() -> dict[str, list[str]]:
     return cases
 
 
-# The acceptance suite's c12 cases (tests/test_acceptance.py CLI_CASES).
+# The acceptance suite's c12 cases (tests/test_acceptance.py CLI_CASES); a test
+# in tests/test_cli_bytes.py keeps the two argv lists equal.
 C12_CASES = {
     "c12-trajectory": ["trajectory", "--n-sites", "6", "--master-seed", "7", "--dt", "0.04"],
     "c12-sweep": ["sweep", "--n-list", "4,8,16", "--m", "60", "--master-seed", "7",
@@ -62,6 +65,11 @@ EXTRA_CASES = {
     "bloch-repairs": ["bloch", "--n-sites", "6", "--m", "300", "--dt", "0.3",
                       "--noise-kind", "uniform"],
     "bloch-n16": ["bloch", "--n-sites", "16", "--m", "600", "--steps", "400", "--dt", "0.005"],
+    "sweep-m1": ["sweep", "--n-list", "4,8,16", "--m", "1", "--master-seed", "7"],
+    "sweep-threads2": ["sweep", "--n-list", "4,8,16", "--m", "40", "--master-seed", "7",
+                       "--threads", "2"],
+    "sweep-step-m1": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "1",
+                      "--master-seed", "7"],
 }
 
 
