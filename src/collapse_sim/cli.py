@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def _render_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def _create(path: str):
+def _create(path: str) -> TextIO:
     """``path`` opened for writing; a path that cannot be opened is a usage error."""
     try:
         return open(path, "w", newline="\n")
