@@ -71,10 +71,10 @@ def _check_times(t: float, tau_m: float) -> None:
         raise ValueError("t must be finite")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if not tau_m > 0.0:
-        raise ValueError("tau_m must be positive")
     if not math.isfinite(tau_m):
         raise ValueError("tau_m must be finite")
+    if not tau_m > 0.0:
+        raise ValueError("tau_m must be positive")
     # Signals reach about 2 t / tau_m apart, which must not overflow.
     if not t / tau_m < _MAX_DRIFT:
         raise ValueError(f"t / tau_m must be finite and below {_MAX_DRIFT:.4g}")

@@ -211,6 +211,8 @@ def step_bloch(state: BlochEnsemble, noise: np.ndarray, dt: float) -> BlochEnsem
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     noise = np.asarray(noise, dtype=float)
     if noise.shape != state.z.shape:
         raise ValueError("noise length must match the number of qubits")
@@ -251,6 +253,8 @@ def expected_purity_increment(state: BlochEnsemble, j: int, dt: float) -> float:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     rows = _increments(state.x[None], state.y[None], state.z[None], dt, state.tau_m)
     return float(rows[0, j])
 

@@ -18,7 +18,8 @@ summaries whose first key is schema_version, all written by
 significant digits so files round-trip and reruns are byte-identical.
 Exit codes: 0 success, 2 config error, a run too large to allocate or
 an output file that cannot be opened for writing, 3 failed strict bound
-check.
+check.  An output path that is a directory, or whose directory is
+missing, is rejected before the run starts.
 
 Worker parallelism is capped by --threads (fallback: the
 COLLAPSE_SIM_THREADS environment variable); results never depend on it.
@@ -27,6 +28,7 @@ COLLAPSE_SIM_THREADS environment variable); results never depend on it.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -90,6 +92,18 @@ def _create(path: str) -> TextIO:
         return open(path, "w", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
+
+
+def _check_output(path: str) -> None:
+    """Raise the error ``_create`` would give for a path that is a
+    directory or whose directory is missing, without creating anything."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write output file: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_outputs(
@@ -528,7 +542,12 @@ def main(argv=None) -> int:
         settings = _settings(args, _load_config(args.config) if args.config else {})
         command = COMMANDS[args.command]
         # Bad settings raise ValueError; a run too large to allocate, MemoryError.
-        return command.run(settings, _sim_params(command, settings))
+        params = _sim_params(command, settings)
+        # Output paths are checked before the run, so a bad one costs no run.
+        for name in ("output", "summary_output", "fit_output"):
+            if name in vars(settings):
+                _check_output(getattr(settings, name))
+        return command.run(settings, params)
     except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,8 +37,10 @@ which cuts the trajectories into blocks and steps each block through
 one-row block of it.  A block holds ``_block_rows(n)`` trajectories of
 n sites: 256, or up to 2^14 / n when the noise budget still draws 8
 steps a row ahead, so small registers pay the per-step Python cost once
-per thousands of rows.  The fixed-horizon observers fold each recorded
-step into a ``_Moments`` in trajectory order.
+per thousands of rows.  ``_drive_block`` holds the block's live rows and
+its step count, and draws the live rows' noise several steps ahead
+itself.  The fixed-horizon observers fold each recorded step into a
+``_Moments`` in trajectory order.
 """
 
 from __future__ import annotations
@@ -199,6 +201,8 @@ def euler_step(state: np.ndarray, noise: np.ndarray, dt: float) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     state = np.asarray(state, dtype=float)
     raw = increment(state, math.sqrt(dt) * np.asarray(noise, dtype=float))
     raw += state
@@ -243,56 +247,6 @@ def _start_state(n: int, initial: np.ndarray | None) -> np.ndarray:
     return state
 
 
-class _BlockNoise:
-    """Per-step noise for the live rows of a block of trajectories.
-
-    Row i draws from ``streams[i]``, in chunks of several steps through
-    ``draw(stream, (k, n))``, which yields the same numbers as k calls of
-    ``draw(stream, n)``.  A chunk holds at most ``_DRAW_CAP`` floats over
-    all live rows, or one step when a step alone is larger, so it never
-    holds more than the larger of the cap and the block's state.  The
-    live rows are an index array into ``streams``, so dropping rows is
-    one gather.
-    """
-
-    def __init__(self, kind, n: int, streams: list, steps: int):
-        self._streams = streams
-        self._live = np.arange(len(streams))
-        self._draw = noise_sampler(kind)
-        self._n = n
-        self._left = steps
-        self._buf = np.empty((0, 0, self._n))
-        self._pos = 0
-        # Buffer rows of the live rows; None while no row has left since
-        # the last refill, so a step's noise is a view, not a copy.
-        self._slot = None
-
-    def take(self) -> np.ndarray:
-        """C-contiguous (rows, n) noise for the next step of the live rows."""
-        if self._pos == self._buf.shape[0]:
-            self._refill()
-        step = self._buf[self._pos]
-        noise = step if self._slot is None else step[self._slot]
-        self._pos += 1
-        self._left -= 1
-        return noise
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where ``mask`` is false; later steps skip them."""
-        self._live = self._live[mask]
-        self._slot = mask.nonzero()[0] if self._slot is None else self._slot[mask]
-
-    def _refill(self) -> None:
-        rows = self._live.size
-        k = max(1, min(self._left, _DRAW_CAP // (rows * self._n)))
-        buf = np.empty((k, rows, self._n))
-        for r, i in enumerate(self._live.tolist()):
-            buf[:, r, :] = self._draw(self._streams[i], (k, self._n))
-        self._buf = buf
-        self._pos = 0
-        self._slot = None
-
-
 def _horizon_steps(t: float, dt: float) -> int:
     """Whole steps of size ``dt`` within time ``t``, forgiving rounding."""
     return int(math.floor(t / dt + 1e-9))
@@ -303,27 +257,49 @@ def _drive_block(params: SimParams, streams: list, live: np.ndarray, steps: int,
     """Step one trajectory per stream together, as the rows of one array.
 
     ``state`` holds their starting states, one per row along its
-    second-to-last axis, with the sites along the last.  Row i draws its
-    noise from ``streams[i]``, and ``step(state, noise, dt)`` advances all
-    live rows by one step.  Before the first step and after each one,
-    ``observe(k, state, live)`` sees the state after k steps; ``live``
-    holds the live rows' trajectory indices, which start as the given
-    ``live``.  It is also the stop rule: it returns a mask of the rows
-    that go on, or None to keep them all.  The block ends after ``steps``
-    steps or once no row is left.
+    second-to-last axis, with the sites along the last.  ``live`` holds
+    the rows' trajectory indices, in increasing order; trajectory i draws
+    its noise from ``streams[i - live[0]]``, ``live`` as given.
+    ``step(state, noise, dt)`` advances all live rows by one step.
+    Before the first step and after each one, ``observe(k, state, live)``
+    sees the state after k steps and the live rows' indices.  It is also
+    the stop rule: it returns a mask of the rows that go on, or None to
+    keep them all.  The block ends after ``steps`` steps or once no row
+    is left.  This loop alone holds the live rows and the step count.
+
+    The noise is drawn ahead: at step k, one chunk of ``size =
+    max(1, min(steps - k, _DRAW_CAP // (rows * n)))`` steps for the rows
+    live then, in their order, each through ``draw(stream, (size, n))``,
+    which yields the same numbers as size calls of ``draw(stream, n)``.
+    A chunk holds at most ``_DRAW_CAP`` floats, or one step when a step
+    alone is larger, so it never holds more than the larger of the cap
+    and the block's state.  A step's noise is a view of the chunk while
+    no row has left since the draw, and a gather of the live rows' chunk
+    rows, found among the indices live at the draw, once one has.
     """
-    noise = _BlockNoise(params.noise_kind, state.shape[-1], streams, steps)
-    k = 0
+    draw = noise_sampler(params.noise_kind)
+    n = state.shape[-1]
+    first = live[0]
+    chunk = np.empty((0, 0, n))
+    k = at = 0
     while True:
         keep = observe(k, state, live)
         if keep is not None:
             state = state[..., keep, :]
             live = live[keep]
-            noise.keep(keep)
         if live.size == 0 or k == steps:
             return
+        if k - at == len(chunk):
+            size = max(1, min(steps - k, _DRAW_CAP // (live.size * n)))
+            chunk = np.empty((size, live.size, n))
+            for r, i in enumerate((live - first).tolist()):
+                chunk[:, r, :] = draw(streams[i], (size, n))
+            drawn, at = live, k
+        noise = chunk[k - at]
+        if live.size < drawn.size:
+            noise = noise[np.searchsorted(drawn, live)]
         k += 1
-        state = step(state, noise.take(), params.dt)
+        state = step(state, noise, params.dt)
 
 
 def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,

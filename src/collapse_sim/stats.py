@@ -289,7 +289,8 @@ def correlation_bound_check(
 
     The diffusion is integrated without any collapse stopping rule, since
     the moment inequality concerns the raw process.  Grid times snap to
-    the nearest step; times past ``params.t_max`` are rejected.  All m
+    the nearest step; a time past ``params.t_max``, or one that snaps to a
+    step past the last whole step within it, is rejected.  All m
     trajectories start uniform, the situation the bound addresses.
 
     A block's pair means at a grid step fold in as one row vector, and
@@ -313,6 +314,9 @@ def correlation_bound_check(
         raise ValueError("pairwise moments need at least two sites")
     dt = params.dt
     steps_at = np.array([int(round(t / dt)) for t in t_grid])
+    # A time within t_max can still snap to a step past the horizon.
+    if steps_at[-1] > _horizon_steps(params.t_max, dt):
+        raise ValueError("grid times must not exceed t_max")
     grid_times = steps_at * dt
     total_steps = int(steps_at.max())
     n_pairs = n * (n - 1) / 2.0

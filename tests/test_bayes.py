@@ -355,7 +355,7 @@ class TestBornFrequencies:
             ((uniform_amps(3), 1.0, 1.0, 0, 1), "need at least one run"),
             ((uniform_amps(3), -0.5, 1.0, 10, 1), "t must be nonnegative"),
             ((uniform_amps(3), 1.0, 0.0, 10, 1), "tau_m must be positive"),
-            ((uniform_amps(3), 1.0, math.nan, 10, 1), "tau_m must be positive"),
+            ((uniform_amps(3), 1.0, math.nan, 10, 1), "tau_m must be finite"),
             ((np.array([1.0, 1.0]), 1.0, 1.0, 10, 1), "amplitudes must satisfy"),
             ((uniform_amps(3), math.inf, 1.0, 10, 1), "t must be finite"),
             ((uniform_amps(3), 1.0, math.inf, 10, 1), "tau_m must be finite"),

@@ -201,6 +201,15 @@ class TestStepBloch:
         with pytest.raises(ValueError):
             step_bloch(single_excitation_uniform(3), np.zeros(2), 0.01)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_dt_rejected(self, dt):
+        state = single_excitation_uniform(3)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step_bloch(state, np.array([0.1, -0.2, 0.3]), dt)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            expected_purity_increment(state, 0, dt)
+
 
 class TestTwin:
     def test_stepwise_identity_moderate_dt(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from collapse_sim import cli
 from collapse_sim.cli import _render_json, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -393,9 +394,12 @@ def test_non_finite_setting_is_a_usage_error_before_any_run(argv, capsys):
         (["launch"], "invalid choice: 'launch'"),
         (["trajectory", "--noise-kind", "gaussian"], "argument --noise-kind"),
         (["check", "--m", "5", "--t-max", "1", "--t-grid", "0,1.5"], "t_max"),
+        # 1 snaps to step 2, t = 1.2, past the one whole step within t_max.
+        (["check", "--n-sites", "4", "--dt", "0.6", "--t-max", "1", "--t-grid", "0,1",
+          "--m", "20"], "grid times must not exceed t_max"),
     ],
     ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice",
-         "check-grid-past-t-max"],
+         "check-grid-past-t-max", "check-grid-snaps-past-t-max"],
 )
 def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
     rc = main(argv)
@@ -457,19 +461,26 @@ def test_run_too_large_to_allocate_is_a_usage_error(argv, subprocess_env):
     "argv, written",
     [
         (["bayes", "--m", "10", "--output", "missing/x.csv"], []),
-        (["bayes", "--m", "10", "--summary-output", "missing/x.json"], ["bayes.csv"]),
-        (SWEEP_ARGS + ["--fit-output", "missing/x.json"], ["sweep.csv"]),
+        (["bayes", "--m", "10", "--summary-output", "missing/x.json"], []),
+        (SWEEP_ARGS + ["--fit-output", "missing/x.json"], []),
+        (["bayes", "--m", "10", "--summary-output", "."], []),
     ],
-    ids=["output", "summary-output", "fit-output"],
+    ids=["output", "summary-output", "fit-output", "directory"],
 )
-def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys):
+def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys, monkeypatch):
+    runs = []
+    for experiment in ("born_frequencies", "scaling_sweep"):
+        monkeypatch.setattr(cli, experiment, lambda *args, **kwargs: runs.append(args))
     rc = main(argv)
     out, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error: cannot write") and argv[-1] in err
     assert err.count("\n") == 1 and "Traceback" not in err
-    # The files before the bad one are written and named as usual.
+    # The paths are checked before the run: no experiment starts and no
+    # file is written.
+    assert runs == []
     assert out.splitlines() == [f"wrote {name}" for name in written]
+    assert not list(Path().iterdir())
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,12 @@ class TestEulerStep:
         with pytest.raises(ValueError):
             euler_step(np.array([1.0, 1.0]), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            euler_step(np.array([1.5, 0.5]), np.array([0.1, -0.2]), dt)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_norm_preserved_property(self, data):
