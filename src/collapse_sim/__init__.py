@@ -6,95 +6,21 @@ site.  It provides the reduced diffusion for the occupation coordinates,
 the full Bloch-vector dynamics it is derived from, an exact Bayesian
 readout model for cross-checking, and ensemble statistics for the
 collapse-time scaling study.
+
+Each module declares its public names once, in its own ``__all__``: the
+package root re-exports exactly those of ``core``, ``sde``, ``bloch``,
+``bayes`` and ``stats``, plus ``__version__``.  The command line lives in
+``collapse_sim.cli``, which importing the package does not load.
 """
 
-from .core import (
-    NoiseKind,
-    SimParams,
-    default_t_max,
-    derive_seed,
-    derive_stream,
-    derive_streams,
-    init_uniform,
-    init_weighted,
-    validate_state,
-)
-from .sde import (
-    TrajectoryResult,
-    detect_collapse,
-    euler_step,
-    increment,
-    run_trajectory,
-)
-from .bloch import (
-    BlochEnsemble,
-    correlation_zz,
-    expected_purity_increment,
-    from_amplitudes,
-    purity,
-    purity_trace,
-    single_excitation_uniform,
-    step_bloch,
-    twin_deviation,
-)
-from .bayes import (
-    BornResult,
-    ReadoutRecord,
-    born_frequencies,
-    collapse_criterion,
-    conditional_state,
-    sample_readouts,
-)
-from .stats import (
-    CollapseStats,
-    FitResult,
-    SweepTable,
-    correlation_bound_check,
-    fit_lnln,
-    initial_step_experiment,
-    run_ensemble,
-    scaling_sweep,
-)
+from . import core, sde, bloch, bayes, stats
+from .core import *  # noqa: F401,F403
+from .sde import *  # noqa: F401,F403
+from .bloch import *  # noqa: F401,F403
+from .bayes import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NoiseKind",
-    "SimParams",
-    "default_t_max",
-    "derive_seed",
-    "derive_stream",
-    "derive_streams",
-    "init_uniform",
-    "init_weighted",
-    "validate_state",
-    "TrajectoryResult",
-    "detect_collapse",
-    "euler_step",
-    "increment",
-    "run_trajectory",
-    "BlochEnsemble",
-    "correlation_zz",
-    "expected_purity_increment",
-    "from_amplitudes",
-    "purity",
-    "purity_trace",
-    "single_excitation_uniform",
-    "step_bloch",
-    "twin_deviation",
-    "BornResult",
-    "ReadoutRecord",
-    "born_frequencies",
-    "collapse_criterion",
-    "conditional_state",
-    "sample_readouts",
-    "CollapseStats",
-    "FitResult",
-    "SweepTable",
-    "correlation_bound_check",
-    "fit_lnln",
-    "initial_step_experiment",
-    "run_ensemble",
-    "scaling_sweep",
-    "__version__",
-]
+__all__ = [name for module in (core, sde, bloch, bayes, stats) for name in module.__all__]
+__all__.append("__version__")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_streams
+from .core import _check_delta, _check_site, derive_streams
 
 __all__ = [
     "ReadoutRecord",
@@ -126,8 +126,7 @@ def sample_readouts_for_site(
     drifts to +t/tau_m, all others to -t/tau_m.  At t = 0 the record is
     exactly zero.
     """
-    if not 0 <= site < n_sites:
-        raise ValueError("site index out of range")
+    _check_site(site, n_sites)
     _check_times(t, tau_m)
     noise = np.zeros(n_sites) if t == 0.0 else stream.standard_normal(n_sites)
     r = _signal_rows(np.array([site]), noise[None], t, tau_m)[0]
@@ -179,11 +178,9 @@ def collapse_criterion(
     done on max-shifted log weights.  alpha0 defaults to the uniform
     superposition.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta)
     size = record.n_sites
-    if not 0 <= n < size:
-        raise ValueError("site index out of range")
+    _check_site(n, size)
     if alpha0 is None:
         weights = np.full(size, 1.0 / size)
     else:

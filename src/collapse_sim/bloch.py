@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, init_uniform, noise_sampler
+from .core import SimParams, _check_dt, _check_site, init_uniform, noise_sampler
 from .sde import _drive_ensemble, _Moments, euler_step
 
 __all__ = [
@@ -153,9 +153,11 @@ def correlation_zz(state: BlochEnsemble | np.ndarray, i: int, j: int) -> float:
     Accepts a BlochEnsemble or a bare z-vector.  The closed form is
     -z_i - z_j - 1: sites sharing a single excitation are anti-correlated.
     """
+    z = state.z if isinstance(state, BlochEnsemble) else np.asarray(state, dtype=float)
+    _check_site(i, z.size)
+    _check_site(j, z.size)
     if i == j:
         raise ValueError("correlation is defined for distinct sites")
-    z = state.z if isinstance(state, BlochEnsemble) else np.asarray(state, dtype=float)
     return float(-z[i] - z[j] - 1.0)
 
 
@@ -209,10 +211,7 @@ def step_bloch(state: BlochEnsemble, noise: np.ndarray, dt: float) -> BlochEnsem
     onto the unit sphere, and the returned state's repair counter grows by
     the number of qubits touched.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    _check_dt(dt)
     noise = np.asarray(noise, dtype=float)
     if noise.shape != state.z.shape:
         raise ValueError("noise length must match the number of qubits")
@@ -233,6 +232,7 @@ def step_bloch(state: BlochEnsemble, noise: np.ndarray, dt: float) -> BlochEnsem
 
 def purity(state: BlochEnsemble, j: int) -> float:
     """P_j = x_j^2 + y_j^2 + z_j^2 for one qubit."""
+    _check_site(j, state.n_sites)
     return float(state.x[j] ** 2 + state.y[j] ** 2 + state.z[j] ** 2)
 
 
@@ -251,10 +251,8 @@ def expected_purity_increment(state: BlochEnsemble, j: int, dt: float) -> float:
     which is nonnegative for any admissible state since P_j <= 1 and
     P_j >= z_j^2 by construction.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    _check_dt(dt)
+    _check_site(j, state.n_sites)
     rows = _increments(state.x[None], state.y[None], state.z[None], dt, state.tau_m)
     return float(rows[0, j])
 

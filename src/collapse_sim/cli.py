@@ -19,7 +19,8 @@ significant digits so files round-trip and reruns are byte-identical.
 Exit codes: 0 success, 2 config error, a run too large to allocate or
 an output file that cannot be opened for writing, 3 failed strict bound
 check.  An output path that is a directory, or whose directory is
-missing, is rejected before the run starts.
+missing, and two output settings that name the same file are rejected
+before the run starts.
 
 Worker parallelism is capped by --threads (fallback: the
 COLLAPSE_SIM_THREADS environment variable); results never depend on it.
@@ -515,6 +516,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="collapse-sim",
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="JSON config file")
         for option in ROOT_OPTIONS + command.options:
             sub.add_argument(
-                "--" + option.name.replace("_", "-"),
+                _flag(option.name),
                 dest=option.name,
                 type=option.parse,
                 choices=option.choices,
@@ -544,9 +549,14 @@ def main(argv=None) -> int:
         # Bad settings raise ValueError; a run too large to allocate, MemoryError.
         params = _sim_params(command, settings)
         # Output paths are checked before the run, so a bad one costs no run.
+        seen = {}
         for name in ("output", "summary_output", "fit_output"):
             if name in vars(settings):
-                _check_output(getattr(settings, name))
+                path = getattr(settings, name)
+                _check_output(path)
+                other = seen.setdefault(os.path.realpath(path), name)
+                if other != name:
+                    raise ConfigError(f"{_flag(other)} and {_flag(name)} name the same file: {path}")
         return command.run(settings, params)
     except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,8 +95,7 @@ class SimParams:
             raise ValueError("n_sites must be >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_delta(self.delta)
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))
         if self.t_max is None:
             object.__setattr__(self, "t_max", default_t_max(self.n_sites))
@@ -108,6 +107,26 @@ class SimParams:
             raise ValueError("t_max / dt must be below 2**53 steps")
         if not isinstance(self.master_seed, int):
             raise ValueError("master_seed must be an integer")
+
+
+def _check_dt(dt: float) -> None:
+    """Reject a step size that is not positive and finite."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
+
+
+def _check_delta(delta: float) -> None:
+    """Reject a collapse threshold outside (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
+def _check_site(j: int, n_sites: int) -> None:
+    """Reject a site index outside [0, n_sites); a negative one does not wrap."""
+    if not 0 <= j < n_sites:
+        raise ValueError("site index out of range")
 
 
 def validate_state(v: np.ndarray, atol: float = STATE_SUM_ATOL) -> np.ndarray:

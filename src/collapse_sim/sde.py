@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimParams, derive_streams, init_uniform, noise_sampler, validate_state
+from .core import (SimParams, _check_delta, _check_dt, derive_streams, init_uniform,
+                   noise_sampler, validate_state)
 
 __all__ = [
     "increment",
@@ -199,10 +200,7 @@ def euler_step(state: np.ndarray, noise: np.ndarray, dt: float) -> np.ndarray:
     exactly 2 up to rounding.  Every row comes out bit for bit as if it
     had been stepped alone.  ``state`` and ``noise`` are not modified.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    _check_dt(dt)
     state = np.asarray(state, dtype=float)
     raw = increment(state, math.sqrt(dt) * np.asarray(noise, dtype=float))
     raw += state
@@ -228,8 +226,7 @@ def detect_collapse(state: np.ndarray, delta: float) -> int | None:
     For ``delta < 1`` at most one site can qualify, so the first match is
     the unique one.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta)
     state = np.asarray(state, dtype=float).reshape(1, -1)
     if state.size == 0:
         return None

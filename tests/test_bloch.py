@@ -101,12 +101,29 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation_zz(single_excitation_uniform(3), 1, 1)
 
+    @pytest.mark.parametrize("i, j", [(-1, 2), (0, -3), (3, 0), (0, 3)])
+    def test_rejects_site_out_of_range(self, i, j):
+        # -1 names site 2 under numpy's wrapping, which must not pass as
+        # a distinct site.
+        state = single_excitation_uniform(3)
+        for arg in (state, state.z):
+            with pytest.raises(ValueError, match="site index out of range"):
+                correlation_zz(arg, i, j)
+
 
 class TestPurity:
     def test_examples(self):
         assert purity(BlochEnsemble(np.zeros(1), np.zeros(1), np.ones(1)), 0) == 1.0
         assert purity(BlochEnsemble(np.zeros(1), np.zeros(1), np.zeros(1)), 0) == 0.0
         assert purity(single_excitation_uniform(4), 0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("j", [-1, -3, 3])
+    def test_rejects_site_out_of_range(self, j):
+        state = single_excitation_uniform(3)
+        with pytest.raises(ValueError, match="site index out of range"):
+            purity(state, j)
+        with pytest.raises(ValueError, match="site index out of range"):
+            expected_purity_increment(state, j, 0.04)
 
     def test_collapsed_increment_vanishes(self):
         z = -np.ones(5)

@@ -484,6 +484,31 @@ def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys, mo
 
 
 @pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["bayes", "--m", "10", "--output", "same.json", "--summary-output", "same.json"],
+         "--output and --summary-output"),
+        (["bayes", "--m", "10", "--output", "a.csv", "--summary-output", "./a.csv"],
+         "--output and --summary-output"),
+        (SWEEP_ARGS + ["--output", "x.csv", "--fit-output", "x.csv"], "--output and --fit-output"),
+        (SWEEP_ARGS + ["--fit-output", "{cwd}/sweep.csv"], "--output and --fit-output"),
+    ],
+    ids=["bayes", "bayes-dot-slash", "sweep", "sweep-default-and-absolute"],
+)
+def test_outputs_sharing_a_file_are_a_usage_error(argv, flags, capsys, monkeypatch):
+    argv = [arg.format(cwd=Path.cwd()) for arg in argv]
+    runs = []
+    for experiment in ("born_frequencies", "scaling_sweep"):
+        monkeypatch.setattr(cli, experiment, lambda *args, **kwargs: runs.append(args))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {flags} name the same file: {argv[-1]}\n"
+    # Checked before the run: no experiment starts and no file is written.
+    assert runs == [] and out == ""
+    assert not list(Path().iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, csv, summary",
     [
         (["trajectory", "--n-sites", "3", "--master-seed", "5"], "trajectory.csv", None),
