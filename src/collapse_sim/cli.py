@@ -107,6 +107,16 @@ def _check_output(path: str) -> None:
     raise ConfigError(f"cannot write output file: {OSError(code, os.strerror(code), path)}")
 
 
+def _file_key(path: str):
+    """What two output paths share when they name one file: the device and
+    inode of an existing file (so hard links match), else the real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _write_outputs(
     output: str, header: list[str], rows, summary_output: str | None = None,
     summary: dict | None = None,
@@ -554,7 +564,7 @@ def main(argv=None) -> int:
             if name in vars(settings):
                 path = getattr(settings, name)
                 _check_output(path)
-                other = seen.setdefault(os.path.realpath(path), name)
+                other = seen.setdefault(_file_key(path), name)
                 if other != name:
                     raise ConfigError(f"{_flag(other)} and {_flag(name)} name the same file: {path}")
         return command.run(settings, params)

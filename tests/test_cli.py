@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -506,6 +507,17 @@ def test_outputs_sharing_a_file_are_a_usage_error(argv, flags, capsys, monkeypat
     # Checked before the run: no experiment starts and no file is written.
     assert runs == [] and out == ""
     assert not list(Path().iterdir())
+
+
+def test_hard_linked_outputs_are_a_usage_error(capsys):
+    # Two names of one existing file share its inode, not its real path.
+    Path("old.csv").write_text("kept\n")
+    os.link("old.csv", "link.json")
+    assert main(["bayes", "--m", "10", "--output", "old.csv", "--summary-output", "link.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --output and --summary-output name the same file: link.json\n"
+    assert Path("old.csv").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
