@@ -19,24 +19,27 @@ results finite for records up to |R| of order 1e4.
 
 Records are built and conditioned as the rows of an array; the
 one-record functions are one-row callers of the same row functions.
-`born_frequencies` draws record i from its own stream (seed, i), in
-index order, with the same calls as `sample_readouts`: one uniform for
-the latent site, as `Generator.choice` takes it, then the signals.  It
-builds each block's streams at once, then conditions and tallies the
-records as the rows of fixed-size blocks.  Each row gets
-the bits the one-record functions give it, and the tally does not depend
-on the block size.
+`born_frequencies` draws record i from its own stream (seed, i), with
+the same calls as `sample_readouts`: one uniform for the latent site, as
+`Generator.choice` takes it, then the signals.  Its records run as
+one-step trajectories of `sde._drive_ensemble`, which cuts them into
+blocks and builds their streams, as for every other ensemble; the
+records share the driver, not the Euler step.  Each row gets the bits
+the one-record functions give it, and the tally does not depend on the
+block size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_delta, _check_site, derive_streams
+from .core import SimParams, _check_delta, _check_site
+from .sde import _drive_ensemble
 
 __all__ = [
     "ReadoutRecord",
@@ -50,8 +53,6 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-9
-# Records conditioned and tallied together by born_frequencies.
-_BLOCK_ROWS = 1024
 # Largest readout drift t / tau_m whose signals stay finite.
 _MAX_DRIFT = sys.float_info.max / 4
 
@@ -232,51 +233,45 @@ def born_frequencies(
 
     Draws m records, conditions the state on each, and assigns the run to
     the site of maximal conditioned weight.  Record i comes from the
-    stream derived from (seed, i), drawn in index order exactly as
-    `sample_readouts` draws it.  The records are conditioned and tallied
-    as the rows of blocks of at most _BLOCK_ROWS records, so memory stays
-    bounded whatever m is; each row gets the bits `conditional_state`
-    gives it, and integer counts add exactly, so the tally does not
-    depend on the block size or on evaluation order.
+    stream derived from (seed, i), drawn exactly as `sample_readouts`
+    draws it.  The records are one-step trajectories of the ensemble
+    driver `sde._drive_ensemble`: each starts from its latent site's
+    drift row, one step adds its signal noise (no step at t = 0), and
+    the records are conditioned and tallied block by block, so memory
+    stays bounded whatever m is.  Each row gets the bits
+    `conditional_state` gives it, and integer counts add exactly, so the
+    tally does not depend on the block size or on evaluation order.
     """
     if m < 1:
         raise ValueError("need at least one run")
     a = _check_amplitudes(alpha0)
     _check_times(t, tau_m)
     p = _born_weights(a)
-    counts = np.zeros(a.size, dtype=np.int64)
-    unresolved = 0
-    for start in range(0, m, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, m)
-        r = _record_rows(p, t, tau_m, seed, start, stop)
-        post = np.abs(_conditional_rows(a, r)) ** 2
-        top = post.max(axis=1, keepdims=True)
-        sole = np.count_nonzero(post == top, axis=1) == 1
-        counts += np.bincount(post.argmax(axis=1)[sole], minlength=a.size)
-        unresolved += (stop - start) - int(np.count_nonzero(sole))
-    return BornResult(counts=counts, unresolved=unresolved, m=m)
+    steps = 0 if t == 0.0 else 1
+    # Wins per site, and records with a tied maximum in the last slot.
+    counts = np.zeros(a.size + 1, dtype=np.int64)
 
+    def start(streams):
+        # The latent site's uniform comes first in each stream, as in
+        # sample_readouts; the signal noise is the driver's draw.
+        sites = _latent_sites(p, [stream.random() for stream in streams])
+        return _signal_rows(sites, np.zeros((len(streams), a.size)), t, tau_m)
 
-def _record_rows(
-    p: np.ndarray, t: float, tau_m: float, seed: int, start: int, stop: int
-) -> np.ndarray:
-    """Records start..stop-1 as (rows, N) rows, drawn like `sample_readouts`.
+    def tally(k, r, live):
+        if k == steps:
+            if not np.all(np.isfinite(r)):
+                raise ValueError("readout entries must be finite")
+            post = np.abs(_conditional_rows(a, r)) ** 2
+            top = post.max(axis=1, keepdims=True)
+            sole = np.count_nonzero(post == top, axis=1) == 1
+            site = np.where(sole, post.argmax(axis=1), a.size)
+            counts[:] += np.bincount(site, minlength=a.size + 1)
 
-    Only the draws loop: each stream gives the uniform of its latent site,
-    then its signals (none at t = 0), in index order.  The sites and the
-    rows are then built at once by `_latent_sites` and `_signal_rows`.
-    """
-    rows, size = stop - start, p.size
-    u = np.empty(rows)
-    noise = np.zeros((rows, size))
-    for j, stream in enumerate(derive_streams(seed, start, stop)):
-        u[j] = stream.random()
-        if t != 0.0:
-            noise[j] = stream.standard_normal(size)
-    r = _signal_rows(_latent_sites(p, u), noise, t, tau_m)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("readout entries must be finite")
-    return r
+    # The driver reads the size, the seed and the normal noise kind of
+    # these parameters; the step ignores dt.
+    _drive_ensemble(SimParams(n_sites=a.size, master_seed=operator.index(seed)), 0, m, start,
+                    steps, lambda r, noise, dt: r + np.sqrt(t / tau_m) * noise, tally)
+    return BornResult(counts=counts[:-1], unresolved=int(counts[-1]), m=m)
 
 
 def _latent_sites(p: np.ndarray, u: float | np.ndarray):

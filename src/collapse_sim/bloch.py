@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimParams, _check_dt, _check_site, init_uniform, noise_sampler
-from .sde import _drive_ensemble, _Moments, euler_step
+from .sde import _drive_ensemble, _fixed_start, _Moments, euler_step
 
 __all__ = [
     "BlochEnsemble",
@@ -375,7 +375,7 @@ def purity_trace(
             predicted.add(k, q)
             before = p, q
 
-    _drive_ensemble(params, 0, m, first, n_steps, step, observe)
+    _drive_ensemble(params, 0, m, _fixed_start(first), n_steps, step, observe)
 
     mean_p, stderr_p = site_purity.mean_stderr(m)
     mean_d, stderr_d = mismatch.mean_stderr(m)

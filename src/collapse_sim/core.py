@@ -157,10 +157,15 @@ def init_weighted(weights) -> np.ndarray:
         raise ValueError("weights must be a nonempty 1-D vector")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and nonnegative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
     if total <= 0.0:
         raise ValueError("weights must not all be zero")
-    return 2.0 * w / total
+    # A sum past the largest float is taken again relative to the largest weight.
+    if math.isinf(total):
+        return init_weighted(w / w.max())
+    # Doubling w / total rather than w keeps a weight near the largest float finite.
+    return 2.0 * (w / total)
 
 
 # splitmix64 constants.

@@ -32,15 +32,19 @@ Cross-site reductions use sorted summation so that relabeling the sites
 (and their noise components alike) commutes with a step bitwise.
 
 Every ensemble experiment is an observer of one call, ``_drive_ensemble``,
-which cuts the trajectories into blocks and steps each block through
-``_drive_block`` as the rows of one array; ``run_trajectory`` is a
-one-row block of it.  A block holds ``_block_rows(n)`` trajectories of
-n sites: 256, or up to 2^14 / n when the noise budget still draws 8
-steps a row ahead, so small registers pay the per-step Python cost once
-per thousands of rows.  ``_drive_block`` holds the block's live rows and
-its step count, and draws the live rows' noise several steps ahead
-itself.  The fixed-horizon observers fold each recorded step into a
-``_Moments`` in trajectory order.
+which cuts the trajectories into blocks, builds each block's streams and
+start states, and steps the block through ``_drive_block`` as the rows
+of one array; ``run_trajectory`` is a one-row block of it.  The stats
+experiments and ``bloch.purity_trace`` start every row from one state
+(``_fixed_start``); ``bayes.born_frequencies`` draws each record's
+latent site from its own stream and takes one step of its own.  A block
+holds ``_block_rows(n)`` trajectories of n sites: 256, or up to 2^14 / n
+when the noise budget still draws 8 steps a row ahead, so small
+registers pay the per-step Python cost once per thousands of rows.
+``_drive_block`` holds the block's live rows and its step count, and
+draws the live rows' noise several steps ahead itself.  The
+fixed-horizon observers fold each recorded step into a ``_Moments`` in
+trajectory order.
 """
 
 from __future__ import annotations
@@ -299,25 +303,32 @@ def _drive_block(params: SimParams, streams: list, live: np.ndarray, steps: int,
         state = step(state, noise, params.dt)
 
 
-def _drive_ensemble(params: SimParams, start: int, stop: int, first: np.ndarray,
+def _drive_ensemble(params: SimParams, start: int, stop: int, first,
                     steps: int, step, observe) -> None:
     """Run trajectories [start, stop) through ``_drive_block``, in blocks.
 
-    A block holds ``_block_rows(n)`` trajectories, n being the sites of
-    ``first``.  Trajectory i draws from ``derive_stream(params.master_seed,
-    i)`` (a block's streams are built at once by ``derive_streams``) and
-    starts from ``first`` (an (n,) or a (3, n) row), repeated along a new
-    second-to-last axis.  Blocks run in index order; the observer sees
+    A block holds ``_block_rows(params.n_sites)`` trajectories.
+    Trajectory i draws from ``derive_stream(params.master_seed, i)`` (a
+    block's streams are built at once by ``derive_streams``).
+    ``first(streams)`` returns the block's start states, one per stream
+    along the second-to-last axis; it is called once the streams are
+    built and before any noise is drawn from them, so a start may take
+    the first draws of its stream.  ``_fixed_start`` gives every
+    trajectory one row.  Blocks run in index order; the observer sees
     trajectory indices in ``live``.  No trajectory's bits depend on the
     block or the range it runs in.
     """
-    size = _block_rows(first.shape[-1])
-    first = np.expand_dims(first, -2)
+    size = _block_rows(params.n_sites)
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         streams = derive_streams(params.master_seed, lo, hi)
-        _drive_block(params, streams, np.arange(lo, hi), steps,
-                     np.repeat(first, hi - lo, axis=-2), step, observe)
+        _drive_block(params, streams, np.arange(lo, hi), steps, first(streams), step, observe)
+
+
+def _fixed_start(row: np.ndarray):
+    """Start builder of ``_drive_ensemble`` that gives every trajectory
+    ``row``, an (n,) or a (3, n) array, and draws nothing."""
+    return lambda streams: np.repeat(row[..., None, :], len(streams), axis=-2)
 
 
 class _Moments:

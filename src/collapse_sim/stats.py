@@ -24,8 +24,8 @@ import numpy as np
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import SimParams, derive_seed, derive_stream, init_uniform  # noqa: F401
-from .sde import (_collapsed, _drive_ensemble, _horizon_steps, _Moments, _start_state,
-                  euler_step)
+from .sde import (_collapsed, _drive_ensemble, _fixed_start, _horizon_steps, _Moments,
+                  _start_state, euler_step)
 
 __all__ = [
     "CollapseStats",
@@ -136,7 +136,8 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
         winners[idx] = site
         return ~done
 
-    _drive_ensemble(params, start, start + count, _start_state(params.n_sites, initial),
+    _drive_ensemble(params, start, start + count,
+                    _fixed_start(_start_state(params.n_sites, initial)),
                     _horizon_steps(params.t_max, params.dt), euler_step, collapse)
     return times, winners
 
@@ -344,7 +345,8 @@ def correlation_bound_check(
                 sum_outer[slot] += outer
                 sumsq_outer[slot] += outer * outer
 
-    _drive_ensemble(params, 0, m, init_uniform(n), total_steps, euler_step, record)
+    _drive_ensemble(params, 0, m, _fixed_start(init_uniform(n)), total_steps, euler_step,
+                    record)
 
     mean_pair, stderr_mean = pair.mean_stderr(m)
     # Each slot's worst off-diagonal pair, the first in row-major order
@@ -437,7 +439,8 @@ def initial_step_experiment(
             up = state[:, 0] - v0
             np.copyto(best, up, where=up > best)
 
-        _drive_ensemble(_row_params(params, n), 0, m, start, steps, euler_step, rise)
+        _drive_ensemble(_row_params(params, n), 0, m, _fixed_start(start), steps, euler_step,
+                        rise)
         means[row], stderrs[row] = _mean_stderr(rises)
     return StepSizeReport(
         n_values=np.asarray(n_list),

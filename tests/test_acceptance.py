@@ -49,14 +49,18 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """One desk-scale collapse-time sweep per noise family, shared below."""
+    """One desk-scale collapse-time sweep per noise family, shared below.
+
+    Two worker processes: trajectory i draws from stream (seed, i)
+    whatever the worker count, so the tables have the bits of a serial run.
+    """
     out = {}
     for kind in KINDS:
         params = SimParams(
             n_sites=2, dt=1.0 / 25.0, delta=1e-2, noise_kind=kind,
             master_seed=SWEEP_SEED,
         )
-        table = scaling_sweep(SWEEP_N, params, SWEEP_M)
+        table = scaling_sweep(SWEEP_N, params, SWEEP_M, workers=2)
         out[kind] = (table, fit_lnln(table))
     return out
 

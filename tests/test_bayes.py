@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 import reference
-from collapse_sim import bayes
+from collapse_sim import bayes, sde
 from collapse_sim.core import derive_stream
 from collapse_sim.bayes import (
     BornResult,
@@ -25,7 +25,8 @@ def uniform_amps(n):
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-BLOCK = bayes._BLOCK_ROWS
+# Records per driver block at N = 3.
+BLOCK = sde._block_rows(3)
 WEIGHTS_4 = np.sqrt([0.1, 0.2, 0.3, 0.4])
 
 # (alpha0, t, tau_m, m, seed) for the bitwise comparison with the
@@ -57,7 +58,7 @@ class _RunawayStream:
 
     def standard_normal(self, size):
         z = np.zeros(size)
-        z[1] = 800.0
+        z[..., 1] = 800.0
         return z
 
 
@@ -324,27 +325,38 @@ class TestBornFrequencies:
         assert got.unresolved == want.unresolved
         assert got.m == want.m
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_tally_does_not_depend_on_block_size(self, monkeypatch, block):
-        args = (np.sqrt([0.5, 0.3, 0.2]), 0.8, 1.0, 100, 29)
-        want = born_frequencies(*args)
-        monkeypatch.setattr(bayes, "_BLOCK_ROWS", block)
-        got = born_frequencies(*args)
+    def test_numpy_integer_seed(self):
+        args = (np.sqrt([0.5, 0.3, 0.2]), 0.8, 1.0, 300)
+        want = born_frequencies(*args, 29)
+        got = born_frequencies(*args, np.int64(29))
         assert np.array_equal(got.counts, want.counts)
         assert got.unresolved == want.unresolved
 
     @pytest.mark.parametrize(
         "case", ["weights-4", "zero-weight-site", "complex-phases", "uniform-64", "time-zero"]
     )
-    def test_rows_match_one_record_functions(self, case):
+    def test_rows_match_one_record_functions(self, monkeypatch, blocks_of_256, case):
+        # Every block's record rows and posterior rows, as born_frequencies
+        # conditions them; 300 records span two blocks of 256.
         alpha, t, tau_m, _, seed = BORN_CASES[case]
-        start, m = 5, 40
-        p = bayes._born_weights(alpha)
-        r = bayes._record_rows(p, t, tau_m, seed, start, start + m)
-        post = np.abs(bayes._conditional_rows(alpha, r)) ** 2
-        assert r.flags.c_contiguous and post.shape == (m, alpha.size)
+        m = 300
+        blocks = []
+        conditional_rows = bayes._conditional_rows
+
+        def kept(a, r):
+            post = conditional_rows(a, r)
+            blocks.append((r, np.abs(post) ** 2))
+            return post
+
+        monkeypatch.setattr(bayes, "_conditional_rows", kept)
+        born_frequencies(alpha, t, tau_m, m, seed)
+        assert [len(r) for r, _ in blocks] == [256, m - 256]
+        r = np.concatenate([r for r, _ in blocks])
+        post = np.concatenate([post for _, post in blocks])
+        assert all(r.flags.c_contiguous for r, _ in blocks)
+        assert post.shape == (m, alpha.size)
         for j in range(m):
-            record = sample_readouts(alpha, t, tau_m, derive_stream(seed, start + j))
+            record = sample_readouts(alpha, t, tau_m, derive_stream(seed, j))
             assert r[j].tobytes() == record.r.tobytes()
             want = np.abs(conditional_state(alpha, record)) ** 2
             assert post[j].tobytes() == want.tobytes()
@@ -381,7 +393,7 @@ class TestBornFrequencies:
         def runaways(seed, start, stop):
             return [_RunawayStream() for _ in range(start, stop)]
 
-        monkeypatch.setattr(bayes, "derive_streams", runaways)
+        monkeypatch.setattr(sde, "derive_streams", runaways)
         monkeypatch.setattr(reference, "derive_stream", runaway)
         args = (np.array([1.0, 0.0]), 1.0, 1.0, 3, 0)
         with pytest.raises(ValueError, match="degenerate posterior") as got:
@@ -390,9 +402,9 @@ class TestBornFrequencies:
             reference_born_frequencies(*args)
         assert str(got.value) == str(want.value)
 
-    def test_memory_bounded_by_block(self, monkeypatch):
-        # Small blocks of long rows, so the row arrays dominate the peak.
-        monkeypatch.setattr(bayes, "_BLOCK_ROWS", 64)
+    def test_memory_bounded_by_block(self):
+        # The driver's blocks of long rows, so the row arrays dominate the peak.
+        block = sde._block_rows(512)
 
         def peak_bytes(m):
             tracemalloc.start()
@@ -402,5 +414,5 @@ class TestBornFrequencies:
             finally:
                 tracemalloc.stop()
 
-        two_blocks = peak_bytes(2 * 64)
-        assert peak_bytes(6 * 64 + 1) < 1.1 * two_blocks
+        two_blocks = peak_bytes(2 * block)
+        assert peak_bytes(6 * block + 1) < 1.1 * two_blocks

@@ -224,6 +224,15 @@ class TestBayes:
         weights = [float(r.split(",")[1]) for r in rows]
         assert weights == pytest.approx([0.5, 0.3, 0.2])
 
+    def test_weights_whose_sum_overflows(self):
+        # Weights are relative: 1e308,1e308 is the even split 1,1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bayes", "--weights", "1e308,1e308", "--m", "50", "--t", "1"]) == 0
+        huge = read("bayes.csv"), read("bayes_summary.json")
+        assert main(["bayes", "--weights", "1,1", "--m", "50", "--t", "1"]) == 0
+        assert (read("bayes.csv"), read("bayes_summary.json")) == huge
+
     def test_negative_weights_rejected(self):
         assert main(["bayes", "--weights", "0.5,-0.1"]) == 2
 

@@ -13,7 +13,7 @@ CHEAP = {"trajectory": ["trajectory", "--n-sites", "3", "--master-seed", "5", "-
 
 def test_cases_cover_c12_fixed_horizon_and_extras():
     cases = cli_bytes.cases()
-    assert len(cases) == 5 + 8 + 9
+    assert len(cases) == 5 + 8 + 13
     assert cases["fixed-horizon-check-seed17"][0] == "check"
     # Outputs land in the temporary directory of each run.
     assert not any(arg.startswith("/") for argv in cases.values() for arg in argv)

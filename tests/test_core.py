@@ -92,6 +92,17 @@ class TestStateHelpers:
         assert np.allclose(init_weighted([0.5, 0.3, 0.2]), [1.0, 0.6, 0.4], atol=1e-15)
         assert np.array_equal(init_weighted([1, 0, 0]), [2.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, want", [
+        ([1e308, 1.0], [2.0, 2e-308]),
+        ([1e308, 1e308], [1.0, 1.0]),
+        ([1.5e308, 0.0, 1.5e308], [1.0, 0.0, 1.0]),
+    ], ids=["large-weight", "sum-overflows", "sum-overflows-zero-weight"])
+    def test_init_weighted_huge_weights(self, weights, want):
+        v = init_weighted(weights)
+        validate_state(v)
+        assert np.array_equal(v, want)
+
     def test_init_weighted_rejects(self):
         with pytest.raises(ValueError):
             init_weighted([0.0, 0.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import collapse_sim
 from collapse_sim import sde
+from collapse_sim.bayes import born_frequencies
 from collapse_sim.bloch import purity_trace
 from collapse_sim.core import NoiseKind, SimParams, derive_stream, init_weighted, validate_state
 from collapse_sim.sde import (
@@ -494,11 +495,11 @@ class TestBlockRows:
         assert [sde._block_rows(n) for n in (2, 16, 64, 512)] == [8192, 1024, 256, 256]
 
     def test_observers_do_not_depend_on_block_size(self, monkeypatch):
-        # Five ensembles of m = 600, two of them (N = 3 and 2) in the step
-        # experiment and the rest at N = 2.  Budgets of 2^12 and 2^13
-        # floats cut each into blocks of 256 rows, or of 512 (N = 2) and
-        # 341 (N = 3), so into 3 or 2 blocks; m is a multiple of none.  The
-        # default budget runs each as one block.
+        # Six ensembles of m = 600: two in the step experiment (N = 3 and
+        # 2), the Born tally at N = 3 and the rest at N = 2.  Budgets of
+        # 2^12 and 2^13 floats cut each into blocks of 256 rows, or of 512
+        # (N = 2) and 341 (N = 3), so into 3 or 2 blocks; m is a multiple
+        # of none.  The default budget runs each as one block.
         params = SimParams(n_sites=2, dt=0.04, master_seed=61)
         m = 600
         blocks = []
@@ -518,9 +519,10 @@ class TestBlockRows:
                 astuple(correlation_bound_check(params, m, [0.0, 0.5, 1.0])),
                 astuple(initial_step_experiment([2, 3], params, horizon=0.6, m=m)),
                 astuple(purity_trace(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)),
+                astuple(born_frequencies(np.sqrt([0.5, 0.3, 0.2]), 0.8, 1.0, m, 29)),
             ]
             runs.append([[np.asarray(v).tobytes() for v in r] for r in results])
-        assert blocks == [5 * 3, 5 * 2, 5]
+        assert blocks == [6 * 3, 6 * 2, 6]
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -564,11 +566,14 @@ def _package_imports(name):
     return found
 
 
-def _imported_names(name):
-    """Names that ``collapse_sim/<name>.py`` imports with ``from ... import``."""
+def _imported_names(name, module=None):
+    """Names that ``collapse_sim/<name>.py`` imports with ``from ... import``,
+    or only those from the package module ``module`` when one is given."""
     source = Path(collapse_sim.__file__).with_name(f"{name}.py").read_text()
     return {alias.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+            if isinstance(node, ast.ImportFrom)
+            and (module is None or node.level > 0 and node.module == module)
+            for alias in node.names}
 
 
 def test_layering():
@@ -576,7 +581,12 @@ def test_layering():
     # below every experiment that drives them.
     assert _package_imports("sde") == {"core"}
     assert "stats" not in _package_imports("bloch")
-    # Only sde cuts ensembles into blocks; the experiments are observers.
-    for name in ("stats", "bloch"):
+    # Only sde cuts ensembles into blocks and builds their streams; the
+    # experiments and the Born tally are observers.
+    for name in ("stats", "bloch", "bayes"):
         assert not _imported_names(name) & {"_BLOCK", "_block_rows", "_drive_block",
-                                                 "_BlockNoise", "_DRAW_CAP", "derive_streams"}
+                                                 "_BlockNoise", "_DRAW_CAP", "derive_streams",
+                                                 "_BLOCK_ROWS"}
+    # bayes derives no stream itself, and shares the driver, not the Euler step.
+    assert "derive_stream" not in _imported_names("bayes")
+    assert _imported_names("bayes", "sde") == {"_drive_ensemble"}

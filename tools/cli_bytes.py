@@ -15,8 +15,9 @@ invocation whose exit code or digest differs, and 0 when all agree.
 The list holds the acceptance suite's c12 cases, the four fixed-horizon
 operations of ``perfbench/workloads.py`` at seeds 3 and 17, and runs that
 reach the squared moments, the driven Bloch stepper and its repairs, one
-trajectory per sweep row (a standard error of 0) and a sweep over two
-worker processes.
+trajectory per sweep row (a standard error of 0), a sweep over two
+worker processes, and Bayes tallies at t = 0, with a zero weight, over
+several blocks (N = 64) and of a single record.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ EXTRA_CASES = {
                        "--threads", "2"],
     "sweep-step-m1": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "1",
                       "--master-seed", "7"],
+    "bayes-t0": ["bayes", "--n-sites", "3", "--t", "0", "--m", "50"],
+    "bayes-zero-weight": ["bayes", "--weights", "0.6,0,0.4", "--t", "0.5", "--m", "600",
+                          "--master-seed", "13"],
+    "bayes-n64": ["bayes", "--n-sites", "64", "--m", "700", "--t", "2", "--master-seed", "11"],
+    "bayes-m1": ["bayes", "--m", "1"],
 }
 
 
