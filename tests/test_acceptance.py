@@ -35,6 +35,8 @@ from collapse_sim.stats import (
     scaling_sweep,
 )
 
+from cli_cases import CLI_CASES
+
 SWEEP_N = [4, 8, 16, 32, 64, 128, 256, 512]
 SWEEP_SEED = 1234
 SWEEP_M = 2000
@@ -294,34 +296,6 @@ def test_c11_cross_oracle_agreement(uniform_born):
         f"two-sample chi-square p={p:.4f} (>= 0.01) between winner tallies, "
         f"m=10^4 each",
     )
-
-
-CLI_CASES = {
-    "trajectory": (
-        ["trajectory", "--n-sites", "6", "--master-seed", "7", "--dt", "0.04"],
-        ["trajectory.csv"],
-    ),
-    "sweep": (
-        ["sweep", "--n-list", "4,8,16", "--m", "60", "--master-seed", "7",
-         "--dt", "0.04"],
-        ["sweep.csv", "sweep_fit.json"],
-    ),
-    "bayes": (
-        ["bayes", "--n-sites", "5", "--m", "2000", "--t", "6",
-         "--master-seed", "7"],
-        ["bayes.csv", "bayes_summary.json"],
-    ),
-    "bloch": (
-        ["bloch", "--n-sites", "4", "--m", "30", "--steps", "30", "--dt", "0.01",
-         "--master-seed", "7", "--twin", "true", "--twin-steps", "200"],
-        ["bloch.csv", "bloch_summary.json"],
-    ),
-    "check": (
-        ["check", "--n-sites", "4", "--m", "300", "--t-grid", "0,0.5,1",
-         "--dt", "0.04", "--master-seed", "7"],
-        ["check.csv", "check_summary.json"],
-    ),
-}
 
 
 def test_c12_cli_determinism(tmp_path, monkeypatch, capsys):

@@ -7,22 +7,19 @@ spec = importlib.util.spec_from_file_location("cli_bytes", ROOT / "tools" / "cli
 cli_bytes = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cli_bytes)
 
-CHEAP = {"trajectory": ["trajectory", "--n-sites", "3", "--master-seed", "5", "--dt", "0.04"],
-         "usage-error": ["check", "--sigmas", "nan"]}
+CHEAP = {"trajectory": (["trajectory", "--n-sites", "3", "--master-seed", "5", "--dt", "0.04"],
+                        None),
+         "usage-error": (["check", "--sigmas", "nan"], None)}
 
 
 def test_cases_cover_c12_fixed_horizon_and_extras():
     cases = cli_bytes.cases()
-    assert len(cases) == 5 + 8 + 13
-    assert cases["fixed-horizon-check-seed17"][0] == "check"
+    assert len(cases) == 5 + 8 + 13 + 4 + 6
+    assert cases["c12-check"][0][0] == "check"
+    assert cases["fixed-horizon-check-seed17"][0][0] == "check"
+    assert sum(config is not None for _, config in cases.values()) == 4
     # Outputs land in the temporary directory of each run.
-    assert not any(arg.startswith("/") for argv in cases.values() for arg in argv)
-
-
-def test_c12_cases_are_the_acceptance_suites():
-    from test_acceptance import CLI_CASES
-
-    assert [argv for argv, _ in CLI_CASES.values()] == list(cli_bytes.C12_CASES.values())
+    assert not any(arg.startswith("/") for argv, _ in cases.values() for arg in argv)
 
 
 def test_same_digest_twice_and_a_changed_one_is_named(tmp_path):
@@ -39,3 +36,12 @@ def test_same_digest_twice_and_a_changed_one_is_named(tmp_path):
     second = cli_bytes.run_side(changed, CHEAP)
     assert second["trajectory"][0] == 0
     assert cli_bytes.differing(first, second) == ["trajectory"]
+
+
+def test_config_file_is_written_and_part_of_the_digest():
+    # 3 and "3" give the same run; only the bytes of config.json differ.
+    argv = ["bayes", "--config", "config.json", "--m", "5"]
+    got = cli_bytes.run_side(ROOT, {"int": (argv, {"n_sites": 3}),
+                                    "text": (argv, {"n_sites": "3"})})
+    assert got["int"][0] == got["text"][0] == 0
+    assert got["int"][1] != got["text"][1]

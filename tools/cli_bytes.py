@@ -12,12 +12,18 @@ one SHA-256 over every file the run wrote, its stdout and its stderr
 (temporary and checkout paths removed).  It exits 1 and names every
 invocation whose exit code or digest differs, and 0 when all agree.
 
-The list holds the acceptance suite's c12 cases, the four fixed-horizon
-operations of ``perfbench/workloads.py`` at seeds 3 and 17, and runs that
-reach the squared moments, the driven Bloch stepper and its repairs, one
-trajectory per sweep row (a standard error of 0), a sweep over two
-worker processes, and Bayes tallies at t = 0, with a zero weight, over
-several blocks (N = 64) and of a single record.
+The list holds the acceptance suite's c12 cases (``tests/cli_cases.py``),
+the four fixed-horizon operations of ``perfbench/workloads.py`` at seeds 3
+and 17, and runs that reach the squared moments, the driven Bloch stepper
+and its repairs, one trajectory per sweep row (a standard error of 0), a
+sweep over two worker processes, and Bayes tallies at t = 0, with a zero
+weight, over several blocks (N = 64) and of a single record.  It also
+holds runs that read a config file and usage errors, so the config
+loader and the ``error:`` lines are held to the same bytes.
+
+A case is ``(argv, config)``.  A config that is not None is written as
+``config.json`` in the run's temporary directory before the run, so the
+file is part of the digest.
 """
 
 from __future__ import annotations
@@ -32,11 +38,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _load(name: str, path: Path):
+    """The module at ``path``, loaded without importing its package."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _c12_cases() -> dict[str, list[str]]:
+    c12 = _load("cli_cases", ROOT / "tests" / "cli_cases.py")
+    return {f"c12-{name}": argv for name, (argv, _) in c12.CLI_CASES.items()}
+
+
 def _fixed_horizon_cases() -> dict[str, list[str]]:
-    module = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(module)
-    module.loader.exec_module(workloads)
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     cases = {}
     for seed in (3, 17):
         spec = workloads.make_spec("fixed-horizon", seed)
@@ -44,19 +60,6 @@ def _fixed_horizon_cases() -> dict[str, list[str]]:
             cases[f"fixed-horizon-{op}-seed{seed}"] = workloads.cli_argv(spec, op, ".")
     return cases
 
-
-# The acceptance suite's c12 cases (tests/test_acceptance.py CLI_CASES); a test
-# in tests/test_cli_bytes.py keeps the two argv lists equal.
-C12_CASES = {
-    "c12-trajectory": ["trajectory", "--n-sites", "6", "--master-seed", "7", "--dt", "0.04"],
-    "c12-sweep": ["sweep", "--n-list", "4,8,16", "--m", "60", "--master-seed", "7",
-                  "--dt", "0.04"],
-    "c12-bayes": ["bayes", "--n-sites", "5", "--m", "2000", "--t", "6", "--master-seed", "7"],
-    "c12-bloch": ["bloch", "--n-sites", "4", "--m", "30", "--steps", "30", "--dt", "0.01",
-                  "--master-seed", "7", "--twin", "true", "--twin-steps", "200"],
-    "c12-check": ["check", "--n-sites", "4", "--m", "300", "--t-grid", "0,0.5,1",
-                  "--dt", "0.04", "--master-seed", "7"],
-}
 
 EXTRA_CASES = {
     "check-n64": ["check", "--n-sites", "64", "--m", "300", "--t-grid", "0,0.5,0.5,1"],
@@ -79,12 +82,40 @@ EXTRA_CASES = {
 }
 
 
-def cases() -> dict[str, list[str]]:
-    return {**C12_CASES, **_fixed_horizon_cases(), **EXTRA_CASES}
+# Runs that read config.json: root keys, blocks, a root key the command
+# ignores (bloch reads no t_max, and 0.01 < dt would be rejected) and a
+# null; then an unknown key in a block.
+CONFIG_CASES = {
+    "config-sweep": (["sweep", "--config", "config.json"], {
+        "dt": "0.04", "master_seed": 7, "sweep": {"n_list": [4, 8, 16], "m": 30, "n_min": None},
+    }),
+    "config-bloch": (["bloch", "--config", "config.json"], {
+        "t_max": 0.01, "bloch": {"twin": "true", "twin_steps": 500, "m": 40},
+    }),
+    "config-check": (["check", "--config", "config.json", "--m", "40"], {
+        "n_sites": 5, "check": {"t_grid": [0, 0.5, 1]},
+    }),
+    "config-unknown-key": (["sweep", "--config", "config.json"], {"sweep": {"n_lst": [4, 8]}}),
+}
+
+# Usage errors: each exits 2 with one error line.
+ERROR_CASES = {
+    "error-bloch-dt-inf": ["bloch", "--dt", "inf", "--m", "2", "--steps", "2"],
+    "error-trajectory-dt-nan": ["trajectory", "--dt", "nan"],
+    "error-step-size-0": ["sweep", "--mode", "step", "--n-list", "0,4", "--m", "2"],
+    "error-bayes-n-sites-0": ["bayes", "--n-sites", "0"],
+    "error-check-sigmas-nan": ["check", "--sigmas", "nan"],
+    "error-bloch-dt-negative": ["bloch", "--dt", "-1"],
+}
 
 
-# Runs in the subprocess of one side: reads {name: argv} on stdin and
-# prints {name: [exit code, digest]}.
+def cases() -> dict[str, tuple[list[str], dict | None]]:
+    plain = {**_c12_cases(), **_fixed_horizon_cases(), **EXTRA_CASES, **ERROR_CASES}
+    return {**{name: (argv, None) for name, argv in plain.items()}, **CONFIG_CASES}
+
+
+# Runs in the subprocess of one side: reads {name: [argv, config]} on stdin
+# and prints {name: [exit code, digest]}.
 _WORKER = r"""
 import contextlib, hashlib, io, json, os, sys, tempfile, warnings
 from pathlib import Path
@@ -95,9 +126,11 @@ checkout = sys.argv[1]
 if not Path(collapse_sim.__file__).resolve().is_relative_to(Path(checkout).resolve()):
     sys.exit(f"collapse_sim loaded from {collapse_sim.__file__}, not from {checkout}")
 
-def run(argv):
+def run(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         # A fresh warnings context per run, so a warning shown by one run
         # is shown again by the next.
@@ -121,11 +154,11 @@ def run(argv):
         os.chdir(checkout)
         return [rc, digest.hexdigest()]
 
-print(json.dumps({name: run(argv) for name, argv in json.load(sys.stdin).items()}))
+print(json.dumps({name: run(*case) for name, case in json.load(sys.stdin).items()}))
 """
 
 
-def run_side(checkout: Path, invocations: dict[str, list[str]]) -> dict[str, list]:
+def run_side(checkout: Path, invocations: dict[str, tuple]) -> dict[str, list]:
     """Exit code and digest of every invocation, run in CHECKOUT's code."""
     checkout = Path(checkout).resolve()
     env = {key: value for key, value in os.environ.items() if key != "COLLAPSE_SIM_THREADS"}
