@@ -32,13 +32,12 @@ block size.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, _check_delta, _check_site
+from .core import SimParams, _check_amplitudes, _check_delta, _check_site, init_uniform
 from .sde import _drive_ensemble
 
 __all__ = [
@@ -52,19 +51,8 @@ __all__ = [
     "born_frequencies",
 ]
 
-_NORM_ATOL = 1e-9
 # Largest readout drift t / tau_m whose signals stay finite.
 _MAX_DRIFT = sys.float_info.max / 4
-
-
-def _check_amplitudes(alpha0: np.ndarray) -> np.ndarray:
-    a = np.asarray(alpha0)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("amplitudes must be a nonempty 1-D vector")
-    total = float(np.sum(np.abs(a) ** 2))
-    if not abs(total - 1.0) <= _NORM_ATOL:
-        raise ValueError("amplitudes must satisfy sum |alpha|^2 = 1")
-    return a
 
 
 def _check_times(t: float, tau_m: float) -> None:
@@ -183,7 +171,7 @@ def collapse_criterion(
     size = record.n_sites
     _check_site(n, size)
     if alpha0 is None:
-        weights = np.full(size, 1.0 / size)
+        weights = init_uniform(size) / 2.0
     else:
         weights = np.abs(_check_amplitudes(alpha0)) ** 2
         if weights.size != size:
@@ -269,8 +257,8 @@ def born_frequencies(
 
     # The driver reads the size, the seed and the normal noise kind of
     # these parameters; the step ignores dt.
-    _drive_ensemble(SimParams(n_sites=a.size, master_seed=operator.index(seed)), 0, m, start,
-                    steps, lambda r, noise, dt: r + np.sqrt(t / tau_m) * noise, tally)
+    _drive_ensemble(SimParams(n_sites=a.size, master_seed=seed), 0, m, start, steps,
+                    lambda r, noise, dt: r + np.sqrt(t / tau_m) * noise, tally)
     return BornResult(counts=counts[:-1], unresolved=int(counts[-1]), m=m)
 
 

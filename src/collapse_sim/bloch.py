@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, _check_dt, _check_site, init_uniform, noise_sampler
+from .core import (SimParams, _check_amplitudes, _check_dt, _check_site, init_uniform,
+                   noise_sampler)
 from .sde import _drive_ensemble, _fixed_start, _Moments, euler_step
 
 __all__ = [
@@ -117,9 +118,7 @@ def single_excitation_uniform(
     tau_m: float = 1.0,
 ) -> BlochEnsemble:
     """Equal-weight shared excitation: x = y = 0, every z = 2/N - 1."""
-    if n_sites < 1:
-        raise ValueError("n_sites must be at least 1")
-    z = np.full(n_sites, 2.0 / n_sites - 1.0)
+    z = init_uniform(n_sites) - 1.0
     zero = np.zeros(n_sites)
     return BlochEnsemble(zero, zero.copy(), z, energy, tunneling, tau_m)
 
@@ -136,13 +135,8 @@ def from_amplitudes(
     x_j, y_j vanish identically for any state in this sector.  The
     amplitudes must be normalized to unit total probability.
     """
-    c = np.asarray(amplitudes)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("amplitudes must be a nonempty 1-D vector")
-    prob = np.abs(c) ** 2
-    if abs(float(prob.sum()) - 1.0) > 1e-9:
-        raise ValueError("amplitudes must satisfy sum |c|^2 = 1")
-    z = 2.0 * prob - 1.0
+    c = _check_amplitudes(amplitudes)
+    z = 2.0 * np.abs(c) ** 2 - 1.0
     zero = np.zeros(c.size)
     return BlochEnsemble(zero, zero.copy(), z, energy, tunneling, tau_m)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bayes import born_frequencies
 from .bloch import purity_trace, twin_deviation
-from .core import NoiseKind, SimParams, derive_stream, init_weighted
+from .core import NoiseKind, SimParams, derive_stream, init_uniform, init_weighted
 from .stats import (
     correlation_bound_check,
     fit_lnln,
@@ -350,10 +350,8 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
 
 
 def cmd_bayes(s: argparse.Namespace, params: SimParams) -> int:
-    if s.weights is None:
-        prob = np.full(params.n_sites, 1.0 / params.n_sites)
-    else:
-        prob = init_weighted(s.weights) / 2.0
+    start = init_uniform(params.n_sites) if s.weights is None else init_weighted(s.weights)
+    prob = start / 2.0
 
     result = born_frequencies(np.sqrt(prob), s.t, s.tau_m, s.m, params.master_seed)
     _write_outputs(

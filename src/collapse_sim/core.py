@@ -17,6 +17,11 @@ Conventions used throughout the package:
   block's streams at once with :func:`derive_streams`, which computes the
   splitmix64 seeds and numpy's ``SeedSequence`` words as arrays and gives
   every stream the bits ``derive_stream`` gives it.
+* The rules for run settings live here, once each: integers
+  (:func:`_check_integer`), the step ``dt``, the threshold ``delta``,
+  site indices, normalized amplitudes and the uniform start
+  (:func:`init_uniform`).  The other modules call them instead of
+  keeping copies.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 STATE_SUM_ATOL = 1e-9
+_NORM_ATOL = 1e-9
 
 # Step indices beyond 2**53 are not exact floats, so k * dt stops naming step k.
 _MAX_STEPS = 2.0**53
@@ -72,7 +78,7 @@ class SimParams:
     n_sites : int
         Number of entangled sites N (N = 1 is legal and pre-collapsed).
     dt : float
-        Integration time step.
+        Integration time step, positive and finite.
     delta : float
         Collapse threshold: a site wins once ``V >= 2 - delta``.
     t_max : float, optional
@@ -81,6 +87,9 @@ class SimParams:
         Distribution of the per-site step noise.
     master_seed : int
         64-bit master seed for stream derivation.
+
+    ``n_sites`` and ``master_seed`` accept Python and numpy integers and
+    are stored as Python ints; a float, even a whole one, is rejected.
     """
 
     n_sites: int
@@ -91,10 +100,10 @@ class SimParams:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", _check_integer(self.n_sites, "n_sites"))
         if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        _check_dt(self.dt)
         _check_delta(self.delta)
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))
         if self.t_max is None:
@@ -105,8 +114,15 @@ class SimParams:
             raise ValueError("t_max must be >= dt")
         if self.t_max / self.dt >= _MAX_STEPS:
             raise ValueError("t_max / dt must be below 2**53 steps")
-        if not isinstance(self.master_seed, int):
-            raise ValueError("master_seed must be an integer")
+        object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed"))
+
+
+def _check_integer(value, name: str) -> int:
+    """``value`` as a Python int; a numpy integer passes, anything else is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 def _check_dt(dt: float) -> None:
@@ -141,6 +157,18 @@ def validate_state(v: np.ndarray, atol: float = STATE_SUM_ATOL) -> np.ndarray:
     if abs(float(v.sum()) - 2.0) > atol:
         raise ValueError("state components must sum to 2")
     return v
+
+
+def _check_amplitudes(alpha0) -> np.ndarray:
+    """``alpha0`` as an array, checked to be a nonempty vector of total
+    probability one."""
+    a = np.asarray(alpha0)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("amplitudes must be a nonempty 1-D vector")
+    total = float(np.sum(np.abs(a) ** 2))
+    if not abs(total - 1.0) <= _NORM_ATOL:
+        raise ValueError("amplitudes must satisfy sum |alpha|^2 = 1")
+    return a
 
 
 def init_uniform(n_sites: int) -> np.ndarray:

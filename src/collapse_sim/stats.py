@@ -208,21 +208,24 @@ def scaling_sweep(
     (params.master_seed, N), so adding or removing sizes never perturbs
     the other rows.  The time horizon is recomputed per N from the
     default rule rather than inherited, since a horizon sized for small N
-    would truncate large-N runs.
+    would truncate large-N runs.  Every size is checked before any row
+    runs.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+    rows = _sweep_rows(n_list, params)
+    if any(b.n_sites <= a.n_sites for a, b in zip(rows, rows[1:])):
         raise ValueError("n_list must be strictly increasing")
-    rows = [run_ensemble(_row_params(params, n), m, workers=workers) for n in n_list]
-    return SweepTable(rows=tuple(rows))
+    return SweepTable(rows=tuple(run_ensemble(row, m, workers=workers) for row in rows))
 
 
-def _row_params(params: SimParams, n: int) -> SimParams:
-    """The size-n row of an N sweep: seed (params.master_seed, n), default horizon."""
-    seed = derive_seed(params.master_seed, n)
-    return replace(params, n_sites=n, t_max=None, master_seed=seed)
+def _sweep_rows(n_list, params: SimParams) -> list[SimParams]:
+    """The parameters of every row of an N sweep, built before any row
+    runs, so every size is checked first.  Row N gets the default horizon
+    and the seed derived from (params.master_seed, N)."""
+    rows = [replace(params, n_sites=n, t_max=None) for n in n_list]
+    if not rows:
+        raise ValueError("n_list must be nonempty")
+    return [replace(row, master_seed=derive_seed(params.master_seed, row.n_sites))
+            for row in rows]
 
 
 def fit_lnln(table: SweepTable, n_min: int = 4) -> FitResult:
@@ -410,11 +413,9 @@ def initial_step_experiment(
     with no stopping rule and records the running maximum of V_1 minus
     its starting value 2 / N.  Rejects horizons shorter than one step or
     longer than ``params.t_max``.  Row N runs on the seed derived from
-    (params.master_seed, N).
+    (params.master_seed, N).  Every size is checked before any row runs.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
+    rows = _sweep_rows(n_list, params)
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
     if horizon < params.dt:
@@ -423,13 +424,11 @@ def initial_step_experiment(
         raise ValueError("horizon must not exceed t_max")
     if m < 1:
         raise ValueError("need at least one realization")
-    if any(n < 1 for n in n_list):
-        raise ValueError("register sizes must be >= 1")
     steps = _horizon_steps(horizon, params.dt)
-    means = np.empty(len(n_list))
-    stderrs = np.empty(len(n_list))
-    for row, n in enumerate(n_list):
-        start = init_uniform(n)
+    means = np.empty(len(rows))
+    stderrs = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        start = init_uniform(row.n_sites)
         v0 = start[0]
         rises = np.zeros(m)
 
@@ -439,11 +438,10 @@ def initial_step_experiment(
             up = state[:, 0] - v0
             np.copyto(best, up, where=up > best)
 
-        _drive_ensemble(_row_params(params, n), 0, m, _fixed_start(start), steps, euler_step,
-                        rise)
-        means[row], stderrs[row] = _mean_stderr(rises)
+        _drive_ensemble(row, 0, m, _fixed_start(start), steps, euler_step, rise)
+        means[i], stderrs[i] = _mean_stderr(rises)
     return StepSizeReport(
-        n_values=np.asarray(n_list),
+        n_values=np.array([row.n_sites for row in rows]),
         horizon=steps * params.dt,
         realizations=m,
         mean_rise=means,

@@ -331,6 +331,8 @@ class TestBornFrequencies:
         got = born_frequencies(*args, np.int64(29))
         assert np.array_equal(got.counts, want.counts)
         assert got.unresolved == want.unresolved
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            born_frequencies(*args, 29.0)
 
     @pytest.mark.parametrize(
         "case", ["weights-4", "zero-weight-site", "complex-phases", "uniform-64", "time-zero"]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestConstruction:
     def test_from_amplitudes_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             from_amplitudes(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amps", [[math.nan, 1.0], [1.0, math.inf]], ids=["nan", "inf"])
+    def test_from_amplitudes_rejects_non_finite(self, amps):
+        message = re.escape("amplitudes must satisfy sum |alpha|^2 = 1")
+        with pytest.raises(ValueError, match=message):
+            from_amplitudes(amps)
+
+    def test_uniform_start_rejects_no_sites(self):
+        with pytest.raises(ValueError, match="n_sites must be >= 1"):
+            single_excitation_uniform(0)
 
     def test_purity_bound_enforced(self):
         with pytest.raises(ValueError):

@@ -407,9 +407,12 @@ def test_non_finite_setting_is_a_usage_error_before_any_run(argv, capsys):
         # 1 snaps to step 2, t = 1.2, past the one whole step within t_max.
         (["check", "--n-sites", "4", "--dt", "0.6", "--t-max", "1", "--t-grid", "0,1",
           "--m", "20"], "grid times must not exceed t_max"),
+        (["bloch", "--dt", "inf", "--m", "2", "--steps", "2"], "dt must be finite"),
+        (["trajectory", "--dt", "nan"], "dt must be finite"),
     ],
     ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice",
-         "check-grid-past-t-max", "check-grid-snaps-past-t-max"],
+         "check-grid-past-t-max", "check-grid-snaps-past-t-max", "bloch-dt-inf",
+         "trajectory-dt-nan"],
 )
 def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
     rc = main(argv)

@@ -19,6 +19,7 @@ from collapse_sim.core import (
     noise_sampler,
     validate_state,
 )
+from collapse_sim.stats import run_ensemble
 
 
 class TestSimParams:
@@ -75,6 +76,26 @@ class TestSimParams:
         p = SimParams(n_sites=2)
         with pytest.raises(AttributeError):
             p.dt = 0.1
+
+    @pytest.mark.parametrize("name, value", [("n_sites", 2.5), ("n_sites", 4.0),
+                                             ("master_seed", 3.0), ("master_seed", "3")])
+    def test_integer_settings_reject_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimParams(**{"n_sites": 2, name: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        p = SimParams(n_sites=np.int32(3), master_seed=np.int64(3))
+        assert type(p.n_sites) is int and type(p.master_seed) is int
+        assert (p.n_sites, p.master_seed) == (3, 3)
+        want = run_ensemble(SimParams(n_sites=3, master_seed=3), 40)
+        got = run_ensemble(p, 40)
+        assert got.mean_time == want.mean_time and got.stderr_time == want.stderr_time
+        assert np.array_equal(got.winner_histogram, want.winner_histogram)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_named(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            SimParams(n_sites=2, dt=dt)
 
 
 class TestStateHelpers:

@@ -6,6 +6,7 @@ from scipy.linalg import solve
 from scipy.special import expit
 from scipy.stats import linregress, norm
 
+from collapse_sim import stats
 from collapse_sim.core import NoiseKind, SimParams, derive_seed, derive_stream, init_weighted
 from collapse_sim.sde import run_trajectory
 from collapse_sim.stats import (
@@ -315,6 +316,33 @@ class TestScalingSweep:
     def test_rows_sorted_requirement(self):
         with pytest.raises(ValueError):
             scaling_sweep([8, 4], SimParams(n_sites=2, dt=0.04), 30)
+
+
+@pytest.mark.parametrize("sweep, n_list", [
+    (lambda n_list, p: scaling_sweep(n_list, p, 10), [4.7, 8, 16]),
+    (lambda n_list, p: scaling_sweep(n_list, p, 10), [4, 8, 16.0]),
+    (lambda n_list, p: initial_step_experiment(n_list, p, 1.0, 8), [2.5, 4]),
+    # Sizes are checked before the horizon and m.
+    (lambda n_list, p: initial_step_experiment(n_list, p, math.nan, 0), [2, 4.0]),
+], ids=["sweep-first", "sweep-last", "step-first", "step-last"])
+def test_sizes_checked_before_any_row_runs(monkeypatch, sweep, n_list):
+    def fail(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(stats, "run_ensemble", fail)
+    monkeypatch.setattr(stats, "_drive_ensemble", fail)
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        sweep(n_list, SimParams(n_sites=2, dt=0.04))
+
+
+def test_numpy_integer_sizes_give_the_int_rows():
+    p = SimParams(n_sites=2, dt=0.04, master_seed=5)
+    want = scaling_sweep([4, 8], p, 20)
+    got = scaling_sweep(np.array([4, 8]), p, 20)
+    assert [type(r.n_sites) for r in got.rows] == [int, int]
+    assert np.array_equal(got.mean_times, want.mean_times)
+    step = initial_step_experiment(np.array([2, 4]), p, 0.5, 8)
+    assert np.array_equal(step.mean_rise, initial_step_experiment([2, 4], p, 0.5, 8).mean_rise)
 
 
 class TestFit:
