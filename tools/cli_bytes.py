@@ -18,7 +18,8 @@ and 17, and runs that reach the squared moments, the driven Bloch stepper
 and its repairs, one trajectory per sweep row (a standard error of 0), a
 sweep over two worker processes, and Bayes tallies at t = 0, with a zero
 weight, over several blocks (N = 64) and of a single record.  It also
-holds runs that read a config file and usage errors, so the config
+holds runs that read a config file, usage errors, and runs that pass
+a flag for a root setting their subcommand does not read, so the config
 loader and the ``error:`` lines are held to the same bytes.
 
 A case is ``(argv, config)``.  A config that is not None is written as
@@ -79,6 +80,11 @@ EXTRA_CASES = {
                           "--master-seed", "13"],
     "bayes-n64": ["bayes", "--n-sites", "64", "--m", "700", "--t", "2", "--master-seed", "11"],
     "bayes-m1": ["bayes", "--m", "1"],
+    # Flags for root settings the subcommand does not read.
+    "unread-bayes": ["bayes", "--m", "10", "--noise-kind", "uniform", "--dt", "0.5"],
+    "unread-bloch": ["bloch", "--m", "2", "--steps", "2", "--delta", "0.5", "--t-max", "1"],
+    "unread-check": ["check", "--m", "20", "--t-grid", "0,0.5", "--delta", "0.5"],
+    "unread-sweep": ["sweep", "--n-list", "4,8,16", "--m", "2", "--path-stride", "2"],
 }
 
 
@@ -96,6 +102,11 @@ CONFIG_CASES = {
         "n_sites": 5, "check": {"t_grid": [0, 0.5, 1]},
     }),
     "config-unknown-key": (["sweep", "--config", "config.json"], {"sweep": {"n_lst": [4, 8]}}),
+    # Root keys bayes does not read, with values no subcommand would accept
+    # together (t_max < dt), so an unread key that is checked shows.
+    "config-bayes-unread": (["bayes", "--config", "config.json", "--m", "50"], {
+        "dt": "0.5", "t_max": 0.1, "delta": 0.5, "noise_kind": "uniform", "path_stride": 3,
+    }),
 }
 
 # Usage errors: each exits 2 with one error line.
