@@ -2,15 +2,17 @@
 
 Subcommands: trajectory, sweep, bayes, bloch, check.  Each option is
 declared once, as a row of ``ROOT_OPTIONS`` (the SimParams fields,
-path_stride and threads, shared by every subcommand) or of
-its subcommand's ``COMMANDS`` entry; the rows give the flags, the config
-keys, the parsers and the defaults.  Settings come from an optional JSON
-config file plus flags; precedence is flags, then the subcommand's block
-in the file ("sweep", "bayes", ...), then the file's root keys, then the
-row's default.  A config value goes through its flag's parser, so a JSON
-string reads like the flag's text; null leaves a key unset.  A
-subcommand builds ``SimParams`` from the root settings its ``reads``
-names, so a setting it ignores is never rejected.
+path_stride and threads) or of its subcommand's ``COMMANDS`` entry; the
+rows give the flags, the config keys, the parsers and the defaults.  A
+subcommand's ``reads`` names the root options it takes: only those get a
+flag, a resolved setting and a place in its ``SimParams``, so a flag for
+a root setting it never reads is a usage error.  Settings come from an
+optional JSON config file plus flags; precedence is flags, then the
+subcommand's block in the file ("sweep", "bayes", ...), then the file's
+root keys, then the row's default.  Root keys are shared by every
+subcommand: each is parsed, and one a subcommand does not read is
+ignored.  A config value goes through its flag's parser, so a JSON
+string reads like the flag's text; null leaves a key unset.
 
 Outputs are CSV tables with a header row and LF line endings, plus JSON
 summaries whose first key is schema_version, all written by
@@ -277,7 +279,7 @@ def _settings(args, cfg: dict) -> argparse.Namespace:
     """Each setting of the command: flag, then block, then root, then default."""
     block = cfg.get(args.command, {})
     settings: dict = {}
-    for option in ROOT_OPTIONS + COMMANDS[args.command].options:
+    for option in _options(COMMANDS[args.command]):
         value = getattr(args, option.name)
         if value is None:
             value = block.get(option.name, cfg.get(option.name))
@@ -445,19 +447,28 @@ def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its runner, its own options, and the ``SimParams``
-    fields it reads in any of its modes."""
+    """A subcommand: its runner, its own options, and the names of the
+    ``ROOT_OPTIONS`` it reads in any of its modes (default: all of them).
+
+    Every subcommand reads ``threads``: scripts pass it to each one, and
+    no output depends on it.
+    """
 
     run: Callable[[argparse.Namespace, SimParams], int]
     help: str
     options: tuple[Option, ...]
-    reads: tuple[str, ...] = tuple(field.name for field in fields(SimParams))
+    reads: tuple[str, ...] = tuple(option.name for option in ROOT_OPTIONS)
+
+
+def _options(command: Command) -> tuple[Option, ...]:
+    """The root options the command reads, then its own."""
+    return tuple(o for o in ROOT_OPTIONS if o.name in command.reads) + command.options
 
 
 def _sim_params(command: Command, settings: argparse.Namespace) -> SimParams:
-    """SimParams from the root settings the command reads; the rest keep
-    their defaults, so a value the command ignores is never rejected."""
-    sim = {name: getattr(settings, name) for name in command.reads}
+    """SimParams from the fields the command reads; the rest keep their
+    defaults."""
+    sim = {f.name: getattr(settings, f.name) for f in fields(SimParams) if f.name in command.reads}
     if "dt" in sim and "t_max" not in sim:
         # An unread horizon is one step, which every valid dt passes.
         sim["t_max"] = sim["dt"]
@@ -480,7 +491,7 @@ COMMANDS = {
         Option("n_min", _integer, 4, "smallest N in the fit"),
         Option("output", _text, "sweep.csv", "CSV table, one row per N"),
         Option("fit_output", _text, "sweep_fit.json", "JSON summary"),
-    )),
+    ), reads=("n_sites", "dt", "delta", "t_max", "noise_kind", "master_seed", "threads")),
     "bayes": Command(cmd_bayes, "closed-form outcome frequencies", (
         Option("weights", _parse_number_list, None,
                "initial excitation weights, comma-separated (default: uniform)"),
@@ -489,7 +500,7 @@ COMMANDS = {
         Option("m", _integer, 10000, "sampled records"),
         Option("output", _text, "bayes.csv", "CSV table"),
         Option("summary_output", _text, "bayes_summary.json", "JSON summary"),
-    ), reads=("n_sites", "master_seed")),
+    ), reads=("n_sites", "master_seed", "threads")),
     "bloch": Command(cmd_bloch, "Bloch-vector runs with purity trace", (
         Option("m", _integer, 200, "trajectories"),
         Option("steps", _integer, 200, "steps per trajectory"),
@@ -504,7 +515,7 @@ COMMANDS = {
         Option("twin_steps", _integer, 10000, "steps of the twin comparison"),
         Option("output", _text, "bloch.csv", "CSV table"),
         Option("summary_output", _text, "bloch_summary.json", "JSON summary"),
-    ), reads=("n_sites", "dt", "noise_kind", "master_seed")),
+    ), reads=("n_sites", "dt", "noise_kind", "master_seed", "threads")),
     "check": Command(cmd_check, "pairwise moment bound verification", (
         Option("m", _integer, 2000, "trajectories"),
         Option("t_grid", _parse_number_list, [0.0, 0.5, 1.0, 2.0, 5.0],
@@ -513,7 +524,7 @@ COMMANDS = {
         Option("strict", _parse_bool, False, "exit 3 if the bound check fails"),
         Option("output", _text, "check.csv", "CSV table"),
         Option("summary_output", _text, "check_summary.json", "JSON summary"),
-    ), reads=("n_sites", "dt", "t_max", "noise_kind", "master_seed")),
+    ), reads=("n_sites", "dt", "t_max", "noise_kind", "master_seed", "threads")),
 }
 
 
@@ -537,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)
         sub.add_argument("--config", help="JSON config file")
-        for option in ROOT_OPTIONS + command.options:
+        for option in _options(command):
             sub.add_argument(
                 _flag(option.name),
                 dest=option.name,

@@ -559,23 +559,62 @@ def test_every_subcommand_names_its_files_and_versions_its_summary(
         assert first == ("schema_version", 1)
 
 
-@pytest.mark.parametrize(
+# Root settings each subcommand does not read, with values it would reject
+# if it read them (delta outside (0, 1), t_max below dt).
+UNREAD = pytest.mark.parametrize(
     "argv, unread, files",
     [
-        (["bayes", "--m", "50"], ["--dt", "0.5", "--t-max", "0.1", "--delta", "1.5"],
+        (["bayes", "--m", "50"],
+         {"dt": 0.5, "t_max": 0.1, "delta": 1.5, "noise_kind": "uniform", "path_stride": 3},
          ["bayes.csv", "bayes_summary.json"]),
-        (["bloch", "--m", "4", "--steps", "5"], ["--delta", "1.5", "--t-max", "0.01"],
+        (["bloch", "--m", "4", "--steps", "5"], {"delta": 1.5, "t_max": 0.01, "path_stride": 3},
          ["bloch.csv", "bloch_summary.json"]),
-        (["check", "--m", "20", "--t-grid", "0,0.5"], ["--delta", "1.5"],
+        (["check", "--m", "20", "--t-grid", "0,0.5"], {"delta": 1.5, "path_stride": 3},
          ["check.csv", "check_summary.json"]),
+        (["sweep", "--n-list", "4,8,16", "--m", "2"], {"path_stride": 3},
+         ["sweep.csv", "sweep_fit.json"]),
     ],
-    ids=["bayes", "bloch", "check"],
+    ids=["bayes", "bloch", "check", "sweep"],
 )
-def test_root_settings_a_subcommand_ignores_are_not_checked(argv, unread, files):
+
+
+@UNREAD
+def test_root_settings_a_subcommand_ignores_are_not_checked(argv, unread, files, tmp_path):
+    # As config root keys, shared by every subcommand.
     assert main(argv) == 0
     expected = {f: read(f) for f in files}
-    assert main(argv + unread) == 0
+    for f in files:
+        os.remove(f)
+    (tmp_path / "cfg.json").write_text(json.dumps(unread))
+    assert main(argv + ["--config", "cfg.json"]) == 0
     assert {f: read(f) for f in files} == expected
+
+
+@UNREAD
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, unread, files, capsys):
+    for name, value in unread.items():
+        flag = cli._flag(name)
+        assert main(argv + [flag, str(value)]) == 2
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {flag} {value}\n")
+    assert os.listdir(".") == []
+
+
+def test_each_subcommand_takes_flags_for_the_root_settings_it_reads():
+    every = {"--n-sites", "--dt", "--delta", "--t-max", "--noise-kind", "--master-seed",
+             "--path-stride", "--threads"}
+    assert {cli._flag(option.name) for option in cli.ROOT_OPTIONS} == every
+    (commands,) = (action for action in cli.build_parser()._actions if action.choices)
+    taken = {
+        name: {flag for action in sub._actions for flag in action.option_strings} & every
+        for name, sub in commands.choices.items()
+    }
+    assert taken == {
+        "trajectory": every,
+        "sweep": every - {"--path-stride"},
+        "bayes": {"--n-sites", "--master-seed", "--threads"},
+        "bloch": {"--n-sites", "--dt", "--noise-kind", "--master-seed", "--threads"},
+        "check": {"--n-sites", "--dt", "--t-max", "--noise-kind", "--master-seed", "--threads"},
+    }
 
 
 @pytest.mark.parametrize(
