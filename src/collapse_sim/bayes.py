@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimParams, _check_amplitudes, _check_delta, _check_site, init_uniform
+from .core import (SimParams, _check_amplitudes, _check_delta, _check_integer, _check_site,
+                   init_uniform)
 from .sde import _drive_ensemble
 
 __all__ = [
@@ -230,7 +231,7 @@ def born_frequencies(
     `conditional_state` gives it, and integer counts add exactly, so the
     tally does not depend on the block size or on evaluation order.
     """
-    if m < 1:
+    if _check_integer(m, "m") < 1:
         raise ValueError("need at least one run")
     a = _check_amplitudes(alpha0)
     _check_times(t, tau_m)

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SimParams, _check_amplitudes, _check_dt, _check_site, init_uniform,
-                   noise_sampler)
+from .core import (SimParams, _check_amplitudes, _check_dt, _check_integer, _check_site,
+                   init_uniform, noise_sampler)
 from .sde import _drive_ensemble, _fixed_start, _Moments, euler_step
 
 __all__ = [
@@ -324,9 +324,9 @@ def purity_trace(
     its own energy, tunneling and tau_m, which then override the keyword
     arguments; its size must equal ``params.n_sites``.
     """
-    if m < 1:
+    if _check_integer(m, "m") < 1:
         raise ValueError("need at least one realization")
-    if n_steps < 1:
+    if _check_integer(n_steps, "n_steps") < 1:
         raise ValueError("need at least one step")
     if initial is not None and initial.n_sites != params.n_sites:
         raise ValueError("initial state size does not match n_sites")
@@ -394,7 +394,7 @@ def twin_deviation(params: SimParams, n_steps: int, stream: np.random.Generator)
     are algebraically identical in this regime, so the value measures
     only accumulated rounding and boundary-handling differences.
     """
-    if n_steps < 1:
+    if _check_integer(n_steps, "n_steps") < 1:
         raise ValueError("need at least one twin step")
     n = params.n_sites
     v = init_uniform(n)

@@ -118,9 +118,10 @@ class SimParams:
 
 
 def _check_integer(value, name: str) -> int:
-    """``value`` as a Python int; a numpy integer passes, anything else is rejected."""
+    """``value`` as a Python int; a numpy integer passes, anything else
+    (a bool too) is rejected."""
     try:
-        return operator.index(value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
 
@@ -173,7 +174,7 @@ def _check_amplitudes(alpha0) -> np.ndarray:
 
 def init_uniform(n_sites: int) -> np.ndarray:
     """Equal-weight initial state: every ``V_n = 2 / N``."""
-    if n_sites < 1:
+    if _check_integer(n_sites, "n_sites") < 1:
         raise ValueError("n_sites must be >= 1")
     return np.full(n_sites, 2.0 / n_sites)
 

@@ -17,13 +17,12 @@ fit and flagged, never silently averaged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
-from .core import SimParams, derive_seed, derive_stream, init_uniform  # noqa: F401
+from .core import SimParams, _check_integer, derive_seed, derive_stream, init_uniform  # noqa: F401
 from .sde import (_collapsed, _drive_ensemble, _fixed_start, _horizon_steps, _Moments,
                   _start_state, euler_step)
 
@@ -168,9 +167,9 @@ def run_ensemble(
     farmed out to worker processes.  Either way the ranges' results are
     joined in index order, so they are identical to the serial ones.
     """
-    if m < 1:
+    if _check_integer(m, "m") < 1:
         raise ValueError("need at least one realization")
-    if workers < 1:
+    if _check_integer(workers, "workers") < 1:
         raise ValueError("workers must be positive")
     initial = _start_state(params.n_sites, initial)
 
@@ -180,6 +179,8 @@ def run_ensemble(
     if parts == 1:
         results = list(map(_run_block, ranges))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parts) as pool:
             results = list(pool.map(_run_block, ranges))
     times, winners = (np.concatenate(part) for part in zip(*results))
@@ -302,7 +303,7 @@ def correlation_bound_check(
     grow one row at a time, in place: a block's outer products at once
     would take rows * n * n floats, and measured slower.
     """
-    if m < 2:
+    if _check_integer(m, "m") < 2:
         raise ValueError("need at least two realizations for standard errors")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
@@ -422,7 +423,7 @@ def initial_step_experiment(
         raise ValueError("horizon must cover at least one step")
     if horizon > params.t_max:
         raise ValueError("horizon must not exceed t_max")
-    if m < 1:
+    if _check_integer(m, "m") < 1:
         raise ValueError("need at least one realization")
     steps = _horizon_steps(horizon, params.dt)
     means = np.empty(len(rows))

@@ -19,7 +19,34 @@ from collapse_sim.core import (
     noise_sampler,
     validate_state,
 )
-from collapse_sim.stats import run_ensemble
+from collapse_sim.bayes import born_frequencies
+from collapse_sim.bloch import purity_trace, twin_deviation
+from collapse_sim.stats import correlation_bound_check, initial_step_experiment, run_ensemble
+
+P2 = SimParams(n_sites=2)
+
+# Each entry point with one count replaced by ``bad``, and that count's name.
+COUNTS = {
+    "run_ensemble-m": (lambda bad: run_ensemble(P2, bad), "m"),
+    "run_ensemble-workers": (lambda bad: run_ensemble(P2, 3, workers=bad), "workers"),
+    "purity_trace-m": (lambda bad: purity_trace(P2, bad, 3), "m"),
+    "purity_trace-n_steps": (lambda bad: purity_trace(P2, 2, bad), "n_steps"),
+    "correlation_bound_check-m": (lambda bad: correlation_bound_check(P2, bad, [0.1]), "m"),
+    "initial_step_experiment-m": (lambda bad: initial_step_experiment([2, 4], P2, 1.0, bad), "m"),
+    "twin_deviation-n_steps": (lambda bad: twin_deviation(P2, bad, derive_stream(0, 0)),
+                               "n_steps"),
+    "born_frequencies-m": (lambda bad: born_frequencies(np.array([0.6, 0.8]), 1, 1, bad, 1), "m"),
+    "init_uniform": (lambda bad: init_uniform(bad), "n_sites"),
+    "SimParams-n_sites": (lambda bad: SimParams(n_sites=bad), "n_sites"),
+    "SimParams-master_seed": (lambda bad: SimParams(n_sites=2, master_seed=bad), "master_seed"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call, name", COUNTS.values(), ids=COUNTS.keys())
+def test_counts_go_through_the_integer_rule(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(bad)
 
 
 class TestSimParams:

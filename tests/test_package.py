@@ -42,3 +42,17 @@ def test_import_does_not_load_the_cli(subprocess_env):
     loaded = proc.stdout.split()
     assert "collapse_sim.stats" in loaded
     assert "collapse_sim.cli" not in loaded and "argparse" not in loaded
+
+
+def test_import_does_not_load_the_process_pool(subprocess_env):
+    # run_ensemble imports the pool only when it farms ranges out.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, collapse_sim; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "collapse_sim.stats" in loaded
+    assert "multiprocessing" not in loaded and "concurrent.futures" not in loaded
