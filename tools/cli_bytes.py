@@ -18,9 +18,11 @@ and 17, and runs that reach the squared moments, the driven Bloch stepper
 and its repairs, one trajectory per sweep row (a standard error of 0), a
 sweep over two worker processes, and Bayes tallies at t = 0, with a zero
 weight, over several blocks (N = 64) and of a single record.  It also
-holds runs that read a config file, usage errors, and runs that pass
-a flag for a root setting their subcommand does not read, so the config
-loader and the ``error:`` lines are held to the same bytes.
+holds runs that read a config file, usage errors, runs that pass a flag
+for a root setting their subcommand does not read or reads only as a
+bound of its length, a grid time that snaps past its own value and a
+step sweep over decreasing sizes, so the config loader and the
+``error:`` lines are held to the same bytes.
 
 A case is ``(argv, config)``.  A config that is not None is written as
 ``config.json`` in the run's temporary directory before the run, so the
@@ -85,12 +87,21 @@ EXTRA_CASES = {
     "unread-bloch": ["bloch", "--m", "2", "--steps", "2", "--delta", "0.5", "--t-max", "1"],
     "unread-check": ["check", "--m", "20", "--t-grid", "0,0.5", "--delta", "0.5"],
     "unread-sweep": ["sweep", "--n-list", "4,8,16", "--m", "2", "--path-stride", "2"],
+    # Flags for root settings that bound a run's length or are never read.
+    "flag-check-t-max": ["check", "--m", "20", "--t-grid", "0,0.5", "--t-max", "3"],
+    "flag-sweep-t-max": ["sweep", "--n-list", "4,8,16", "--m", "2", "--t-max", "50"],
+    "flag-step-n-sites": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2",
+                          "--n-sites", "8"],
+    # 1 snaps to step 2 at dt = 0.6, so the row is written at t = 1.2.
+    "check-snapped-grid": ["check", "--n-sites", "4", "--dt", "0.6", "--t-grid", "0,1",
+                           "--m", "20"],
+    "sweep-step-n-list-decreasing": ["sweep", "--mode", "step", "--n-list", "8,4", "--m", "2"],
 }
 
 
 # Runs that read config.json: root keys, blocks, a root key the command
 # ignores (bloch reads no t_max, and 0.01 < dt would be rejected) and a
-# null; then an unknown key in a block.
+# null; then an unknown key in a block, and a grid time past the root t_max.
 CONFIG_CASES = {
     "config-sweep": (["sweep", "--config", "config.json"], {
         "dt": "0.04", "master_seed": 7, "sweep": {"n_list": [4, 8, 16], "m": 30, "n_min": None},
@@ -107,6 +118,9 @@ CONFIG_CASES = {
     "config-bayes-unread": (["bayes", "--config", "config.json", "--m", "50"], {
         "dt": "0.5", "t_max": 0.1, "delta": 0.5, "noise_kind": "uniform", "path_stride": 3,
     }),
+    "config-check-grid-past-t-max": (["check", "--config", "config.json", "--m", "20"], {
+        "t_max": 1, "check": {"t_grid": [0, 1.5]},
+    }),
 }
 
 # Usage errors: each exits 2 with one error line.
@@ -117,6 +131,9 @@ ERROR_CASES = {
     "error-bayes-n-sites-0": ["bayes", "--n-sites", "0"],
     "error-check-sigmas-nan": ["check", "--sigmas", "nan"],
     "error-bloch-dt-negative": ["bloch", "--dt", "-1"],
+    "error-check-huge-grid": ["check", "--m", "5", "--t-grid", "0,1e300"],
+    "error-step-huge-horizon": ["sweep", "--mode", "step", "--n-list", "2", "--m", "2",
+                                "--horizon", "1e300"],
 }
 
 
