@@ -6,7 +6,11 @@ path_stride and threads) or of its subcommand's ``COMMANDS`` entry; the
 rows give the flags, the config keys, the parsers and the defaults.  A
 subcommand's ``reads`` names the root options it takes: only those get a
 flag, a resolved setting and a place in its ``SimParams``, so a flag for
-a root setting it never reads is a usage error.  Settings come from an
+a root setting it never reads is a usage error.  ``t_max`` is the horizon
+of a run with a collapse rule, so only ``trajectory`` reads it; ``check``,
+``sweep --mode step`` and ``bloch`` take their length from their own
+grid, horizon or step count, and ``sweep --mode times`` gives each size
+its default horizon.  Settings come from an
 optional JSON config file plus flags; precedence is flags, then the
 subcommand's block in the file ("sweep", "bayes", ...), then the file's
 root keys, then the row's default.  Root keys are shared by every
@@ -98,11 +102,11 @@ def _create(path: str) -> TextIO:
 
 
 def _check_output(path: str) -> None:
-    """Raise the error ``_create`` would give for a path that is a
-    directory or whose directory is missing, without creating anything."""
+    """Raise the error ``_create`` would give for a path that is empty, a
+    directory or in a missing directory, without creating anything."""
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or "."):
+    elif not path or not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.ENOENT
     else:
         return
@@ -450,8 +454,9 @@ class Command:
     """A subcommand: its runner, its own options, and the names of the
     ``ROOT_OPTIONS`` it reads in any of its modes (default: all of them).
 
-    Every subcommand reads ``threads``: scripts pass it to each one, and
-    no output depends on it.
+    Only ``trajectory`` reads ``t_max`` and only ``sweep`` does not read
+    ``n_sites``: its sizes come from ``n_list``.  Every subcommand reads
+    ``threads``: scripts pass it to each one, and no output depends on it.
     """
 
     run: Callable[[argparse.Namespace, SimParams], int]
@@ -466,10 +471,12 @@ def _options(command: Command) -> tuple[Option, ...]:
 
 
 def _sim_params(command: Command, settings: argparse.Namespace) -> SimParams:
-    """SimParams from the fields the command reads; the rest keep their
-    defaults."""
-    sim = {f.name: getattr(settings, f.name) for f in fields(SimParams) if f.name in command.reads}
-    if "dt" in sim and "t_max" not in sim:
+    """SimParams from the fields the command reads; the rest get their
+    rows' defaults."""
+    rows = {option.name: option for option in ROOT_OPTIONS}
+    sim = {f.name: getattr(settings, f.name) if f.name in command.reads else rows[f.name].default
+           for f in fields(SimParams)}
+    if "t_max" not in command.reads:
         # An unread horizon is one step, which every valid dt passes.
         sim["t_max"] = sim["dt"]
     return SimParams(**sim)
@@ -491,7 +498,7 @@ COMMANDS = {
         Option("n_min", _integer, 4, "smallest N in the fit"),
         Option("output", _text, "sweep.csv", "CSV table, one row per N"),
         Option("fit_output", _text, "sweep_fit.json", "JSON summary"),
-    ), reads=("n_sites", "dt", "delta", "t_max", "noise_kind", "master_seed", "threads")),
+    ), reads=("dt", "delta", "noise_kind", "master_seed", "threads")),
     "bayes": Command(cmd_bayes, "closed-form outcome frequencies", (
         Option("weights", _parse_number_list, None,
                "initial excitation weights, comma-separated (default: uniform)"),
@@ -524,7 +531,7 @@ COMMANDS = {
         Option("strict", _parse_bool, False, "exit 3 if the bound check fails"),
         Option("output", _text, "check.csv", "CSV table"),
         Option("summary_output", _text, "check_summary.json", "JSON summary"),
-    ), reads=("n_sites", "dt", "t_max", "noise_kind", "master_seed", "threads")),
+    ), reads=("n_sites", "dt", "noise_kind", "master_seed", "threads")),
 }
 
 

@@ -18,7 +18,8 @@ Conventions used throughout the package:
   splitmix64 seeds and numpy's ``SeedSequence`` words as arrays and gives
   every stream the bits ``derive_stream`` gives it.
 * The rules for run settings live here, once each: integers
-  (:func:`_check_integer`), the step ``dt``, the threshold ``delta``,
+  (:func:`_check_integer`), the step ``dt``, a run's step count
+  (:func:`_check_steps`), the threshold ``delta``,
   site indices, normalized amplitudes and the uniform start
   (:func:`init_uniform`).  The other modules call them instead of
   keeping copies.
@@ -112,8 +113,7 @@ class SimParams:
             raise ValueError("t_max must be finite")
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
-        if self.t_max / self.dt >= _MAX_STEPS:
-            raise ValueError("t_max / dt must be below 2**53 steps")
+        _check_steps(self.t_max, self.dt, "t_max")
         object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed"))
 
 
@@ -132,6 +132,12 @@ def _check_dt(dt: float) -> None:
         raise ValueError("dt must be positive")
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
+
+
+def _check_steps(t: float, dt: float, name: str) -> None:
+    """Reject a run of time ``t`` that takes 2**53 steps of ``dt`` or more."""
+    if t / dt >= _MAX_STEPS:
+        raise ValueError(f"{name} / dt must be below 2**53 steps")
 
 
 def _check_delta(delta: float) -> None:

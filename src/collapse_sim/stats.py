@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import SimParams, _check_integer, _check_steps, derive_seed, init_uniform
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
-from .core import SimParams, _check_integer, derive_seed, derive_stream, init_uniform  # noqa: F401
+from .core import derive_stream  # noqa: F401
 from .sde import (_collapsed, _drive_ensemble, _fixed_start, _horizon_steps, _Moments,
                   _start_state, euler_step)
 
@@ -213,18 +214,19 @@ def scaling_sweep(
     runs.
     """
     rows = _sweep_rows(n_list, params)
-    if any(b.n_sites <= a.n_sites for a, b in zip(rows, rows[1:])):
-        raise ValueError("n_list must be strictly increasing")
     return SweepTable(rows=tuple(run_ensemble(row, m, workers=workers) for row in rows))
 
 
 def _sweep_rows(n_list, params: SimParams) -> list[SimParams]:
     """The parameters of every row of an N sweep, built before any row
-    runs, so every size is checked first.  Row N gets the default horizon
-    and the seed derived from (params.master_seed, N)."""
+    runs, so every size, and their strictly increasing order, is checked
+    first.  Row N gets the default horizon and the seed derived from
+    (params.master_seed, N)."""
     rows = [replace(params, n_sites=n, t_max=None) for n in n_list]
     if not rows:
         raise ValueError("n_list must be nonempty")
+    if any(b.n_sites <= a.n_sites for a, b in zip(rows, rows[1:])):
+        raise ValueError("n_list must be strictly increasing")
     return [replace(row, master_seed=derive_seed(params.master_seed, row.n_sites))
             for row in rows]
 
@@ -293,10 +295,11 @@ def correlation_bound_check(
     """Monte Carlo estimate of E[V_n V_k] on a time grid, with the bound.
 
     The diffusion is integrated without any collapse stopping rule, since
-    the moment inequality concerns the raw process.  Grid times snap to
-    the nearest step; a time past ``params.t_max``, or one that snaps to a
-    step past the last whole step within it, is rejected.  All m
-    trajectories start uniform, the situation the bound addresses.
+    the moment inequality concerns the raw process, and it runs to the
+    last grid time: ``params.t_max`` plays no part.  Grid times snap to
+    the nearest step; a last grid time of 2**53 steps or more is
+    rejected.  All m trajectories start uniform, the situation the bound
+    addresses.
 
     A block's pair means at a grid step fold in as one row vector, and
     every grid time's worst pair is picked at once.  The n x n pair sums
@@ -312,16 +315,12 @@ def correlation_bound_check(
         raise ValueError("grid times must be finite")
     if t_grid[0] < 0.0:
         raise ValueError("grid times must be nonnegative")
-    if t_grid[-1] > params.t_max:
-        raise ValueError("grid times must not exceed t_max")
+    dt = params.dt
+    _check_steps(t_grid[-1], dt, "grid time")
     n = params.n_sites
     if n < 2:
         raise ValueError("pairwise moments need at least two sites")
-    dt = params.dt
     steps_at = np.array([int(round(t / dt)) for t in t_grid])
-    # A time within t_max can still snap to a step past the horizon.
-    if steps_at[-1] > _horizon_steps(params.t_max, dt):
-        raise ValueError("grid times must not exceed t_max")
     grid_times = steps_at * dt
     total_steps = int(steps_at.max())
     n_pairs = n * (n - 1) / 2.0
@@ -331,17 +330,14 @@ def correlation_bound_check(
     # Per-pair running sums for locating the worst pair at each time.
     sum_outer = np.zeros((g, n, n))
     sumsq_outer = np.zeros((g, n, n))
-    # Grid times that round to the same step share its states.
-    step_slots: dict[int, list[int]] = {}
-    for idx, s in enumerate(steps_at):
-        step_slots.setdefault(int(s), []).append(idx)
 
     def record(k, state, live):
         # Blocks run in index order and no row leaves, so every slot adds
         # its trajectories one at a time in index order, as a loop over
         # trajectories would.  Row sums square with libm pow, as
         # float(v.sum()) ** 2 does; x * x can differ in the last bit.
-        for slot in step_slots.get(k, ()):
+        # Grid times that round to the same step share its states.
+        for slot in np.flatnonzero(steps_at == k):
             sums, squares = state.sum(axis=1), (state * state).sum(axis=1)
             pair.add(slot, (np.float_power(sums, 2.0) - squares) / (2.0 * n_pairs))
             for v in state:
@@ -412,8 +408,9 @@ def initial_step_experiment(
 
     Integrates the raw diffusion from the uniform start to the horizon
     with no stopping rule and records the running maximum of V_1 minus
-    its starting value 2 / N.  Rejects horizons shorter than one step or
-    longer than ``params.t_max``.  Row N runs on the seed derived from
+    its starting value 2 / N.  ``params.t_max`` plays no part.  Rejects
+    horizons shorter than one step or of 2**53 steps or more.  n_list must
+    be strictly increasing.  Row N runs on the seed derived from
     (params.master_seed, N).  Every size is checked before any row runs.
     """
     rows = _sweep_rows(n_list, params)
@@ -421,8 +418,7 @@ def initial_step_experiment(
         raise ValueError("horizon must be finite")
     if horizon < params.dt:
         raise ValueError("horizon must cover at least one step")
-    if horizon > params.t_max:
-        raise ValueError("horizon must not exceed t_max")
+    _check_steps(horizon, params.dt, "horizon")
     if _check_integer(m, "m") < 1:
         raise ValueError("need at least one realization")
     steps = _horizon_steps(horizon, params.dt)

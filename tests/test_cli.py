@@ -145,7 +145,8 @@ class TestSweep:
             ["--n-list", "4,8,inf", "--m", "5"],
             ["--n-list", "4.7,8,16", "--m", "5"],
             ["--mode", "step", "--n-list", "2.5", "--m", "5"],
-            ["--mode", "step", "--m", "2", "--t-max", "1", "--horizon", "1.5"],
+            ["--mode", "step", "--m", "2", "--horizon", "1e300"],
+            ["--mode", "step", "--n-list", "8,4,4", "--m", "2"],
         ],
         ids=[
             "n-list-not-increasing",
@@ -157,6 +158,7 @@ class TestSweep:
             "n-list-fraction",
             "step-n-list-fraction",
             "step-horizon-past-t-max",
+            "step-n-list-not-increasing",
         ],
     )
     def test_bad_sweep_input_is_a_usage_error(self, argv, capsys):
@@ -340,6 +342,13 @@ class TestCheck:
         summary = json.loads(read("check_summary.json"))
         assert summary["satisfied"] is False
 
+    def test_grid_time_snaps_to_the_nearest_step(self):
+        # At dt = 0.6, t = 1 rounds to step 2, so its row is written at t = 1.2.
+        argv = ["check", "--n-sites", "4", "--dt", "0.6", "--t-grid", "0,1", "--m", "20"]
+        assert main(argv) == 0
+        lines = read("check.csv").decode().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1.2"]
+
     @pytest.mark.parametrize("t_grid", ["0.5,0.5", "0.49,0.5"])
     def test_grid_times_sharing_a_step_share_a_row(self, t_grid):
         # At dt = 0.04 both times round to step 12.
@@ -403,15 +412,13 @@ def test_non_finite_setting_is_a_usage_error_before_any_run(argv, capsys):
         ([], "required: command"),
         (["launch"], "invalid choice: 'launch'"),
         (["trajectory", "--noise-kind", "gaussian"], "argument --noise-kind"),
-        (["check", "--m", "5", "--t-max", "1", "--t-grid", "0,1.5"], "t_max"),
-        # 1 snaps to step 2, t = 1.2, past the one whole step within t_max.
-        (["check", "--n-sites", "4", "--dt", "0.6", "--t-max", "1", "--t-grid", "0,1",
-          "--m", "20"], "grid times must not exceed t_max"),
+        (["check", "--m", "5", "--t-grid", "0,1e300"],
+         "grid time / dt must be below 2**53 steps"),
         (["bloch", "--dt", "inf", "--m", "2", "--steps", "2"], "dt must be finite"),
         (["trajectory", "--dt", "nan"], "dt must be finite"),
     ],
     ids=["unknown-flag", "no-subcommand", "unknown-subcommand", "bad-choice",
-         "check-grid-past-t-max", "check-grid-snaps-past-t-max", "bloch-dt-inf",
+         "check-grid-past-2-pow-53", "bloch-dt-inf",
          "trajectory-dt-nan"],
 )
 def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
@@ -425,10 +432,9 @@ def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "--m", "5", "--t-max", "1e300", "--t-grid", "0,1e300"],
+        ["check", "--m", "5", "--t-grid", "0,1e300"],
         ["check", "--m", "5", "--dt", "1e-300", "--t-grid", "0,1"],
-        ["sweep", "--mode", "step", "--m", "4", "--n-list", "2,4",
-         "--t-max", "1e300", "--horizon", "1e300"],
+        ["sweep", "--mode", "step", "--m", "4", "--n-list", "2,4", "--horizon", "1e300"],
     ],
     ids=["check-huge-t-max", "check-tiny-dt", "step-huge-t-max"],
 )
@@ -477,8 +483,9 @@ def test_run_too_large_to_allocate_is_a_usage_error(argv, subprocess_env):
         (["bayes", "--m", "10", "--summary-output", "missing/x.json"], []),
         (SWEEP_ARGS + ["--fit-output", "missing/x.json"], []),
         (["bayes", "--m", "10", "--summary-output", "."], []),
+        (["bayes", "--m", "10", "--output", ""], []),
     ],
-    ids=["output", "summary-output", "fit-output", "directory"],
+    ids=["output", "summary-output", "fit-output", "directory", "empty"],
 )
 def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys, monkeypatch):
     runs = []
@@ -560,7 +567,7 @@ def test_every_subcommand_names_its_files_and_versions_its_summary(
 
 
 # Root settings each subcommand does not read, with values it would reject
-# if it read them (delta outside (0, 1), t_max below dt).
+# if it read them (delta outside (0, 1), t_max below dt, n_sites 0).
 UNREAD = pytest.mark.parametrize(
     "argv, unread, files",
     [
@@ -569,9 +576,11 @@ UNREAD = pytest.mark.parametrize(
          ["bayes.csv", "bayes_summary.json"]),
         (["bloch", "--m", "4", "--steps", "5"], {"delta": 1.5, "t_max": 0.01, "path_stride": 3},
          ["bloch.csv", "bloch_summary.json"]),
-        (["check", "--m", "20", "--t-grid", "0,0.5"], {"delta": 1.5, "path_stride": 3},
+        (["check", "--m", "20", "--t-grid", "0,0.5"],
+         {"delta": 1.5, "t_max": 0.01, "path_stride": 3},
          ["check.csv", "check_summary.json"]),
-        (["sweep", "--n-list", "4,8,16", "--m", "2"], {"path_stride": 3},
+        (["sweep", "--n-list", "4,8,16", "--m", "2"],
+         {"n_sites": 0, "t_max": 0.01, "path_stride": 3},
          ["sweep.csv", "sweep_fit.json"]),
     ],
     ids=["bayes", "bloch", "check", "sweep"],
@@ -610,18 +619,18 @@ def test_each_subcommand_takes_flags_for_the_root_settings_it_reads():
     }
     assert taken == {
         "trajectory": every,
-        "sweep": every - {"--path-stride"},
+        "sweep": {"--dt", "--delta", "--noise-kind", "--master-seed", "--threads"},
         "bayes": {"--n-sites", "--master-seed", "--threads"},
         "bloch": {"--n-sites", "--dt", "--noise-kind", "--master-seed", "--threads"},
-        "check": {"--n-sites", "--dt", "--t-max", "--noise-kind", "--master-seed", "--threads"},
+        "check": {"--n-sites", "--dt", "--noise-kind", "--master-seed", "--threads"},
     }
 
 
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["sweep", "--dt", "0.5", "--t-max", "0.1"], "t_max must be >= dt"),
-        (["check", "--m", "5", "--dt", "0.5", "--t-max", "0.1"], "t_max must be >= dt"),
+        (["sweep", "--delta", "1.5"], "delta must lie in (0, 1)"),
+        (["check", "--m", "5", "--n-sites", "0"], "n_sites must be >= 1"),
         (["bloch", "--m", "4", "--dt", "-1"], "dt must be positive"),
         (["bayes", "--n-sites", "0"], "n_sites must be >= 1"),
         (["trajectory", "--delta", "1.5"], "delta must lie in (0, 1)"),

@@ -466,11 +466,12 @@ class TestBoundCheck:
             correlation_bound_check(SimParams(n_sites=1, dt=0.04), 10, [0.0])
 
     def test_grid_past_horizon_rejected(self):
-        # The safety horizon bounds the step count of the check too.
+        # The grid sets the check's length: t_max does not bound it, and a
+        # grid time of 2**53 steps or more is rejected.
         p = SimParams(n_sites=4, dt=0.04, t_max=1.0)
-        with pytest.raises(ValueError, match="t_max"):
-            correlation_bound_check(p, 10, [0.0, 1.5])
-        assert correlation_bound_check(p, 10, [0.0, 1.0]).times[-1] == 1.0
+        with pytest.raises(ValueError, match=r"grid time / dt must be below 2\*\*53 steps"):
+            correlation_bound_check(p, 10, [0.0, 1e300])
+        assert correlation_bound_check(p, 10, [0.0, 2.0]).times[-1] == 2.0
 
 
 class TestStepExperiment:
@@ -495,11 +496,15 @@ class TestStepExperiment:
         with pytest.raises(ValueError):
             initial_step_experiment([], SimParams(n_sites=2, dt=0.04), 1.0, 8)
 
-    def test_horizon_past_t_max_rejected(self):
+    def test_horizon_bounded_by_the_step_rule_not_t_max(self):
         p = SimParams(n_sites=2, dt=0.04, t_max=1.0)
-        with pytest.raises(ValueError, match="t_max"):
-            initial_step_experiment([2, 4], p, horizon=1.5, m=4)
-        assert initial_step_experiment([2, 4], p, horizon=1.0, m=4).horizon == 1.0
+        with pytest.raises(ValueError, match=r"horizon / dt must be below 2\*\*53 steps"):
+            initial_step_experiment([2, 4], p, horizon=1e300, m=4)
+        assert initial_step_experiment([2, 4], p, horizon=2.0, m=4).horizon == 2.0
+
+    def test_rejects_sizes_not_increasing(self):
+        with pytest.raises(ValueError, match="n_list must be strictly increasing"):
+            initial_step_experiment([4, 4], SimParams(n_sites=2, dt=0.04), 1.0, 8)
 
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):
