@@ -20,9 +20,11 @@ sweep over two worker processes, and Bayes tallies at t = 0, with a zero
 weight, over several blocks (N = 64) and of a single record.  It also
 holds runs that read a config file, usage errors, runs that pass a flag
 for a root setting their subcommand does not read or reads only as a
-bound of its length, a grid time that snaps past its own value and a
-step sweep over decreasing sizes, so the config loader and the
-``error:`` lines are held to the same bytes.
+bound of its length, a grid time that snaps past its own value, a
+step sweep over decreasing sizes, the length rules of a trajectory's
+``t_max``, of a step sweep's horizon and of each sweep row's default
+horizon, and an output path under a regular file, so the config loader
+and the ``error:`` lines are held to the same bytes.
 
 A case is ``(argv, config)``.  A config that is not None is written as
 ``config.json`` in the run's temporary directory before the run, so the
@@ -96,6 +98,10 @@ EXTRA_CASES = {
     "check-snapped-grid": ["check", "--n-sites", "4", "--dt", "0.6", "--t-grid", "0,1",
                            "--m", "20"],
     "sweep-step-n-list-decreasing": ["sweep", "--mode", "step", "--n-list", "8,4", "--m", "2"],
+    # A step sweep whose dt is past the default horizon of its sizes.
+    "sweep-step-dt-150": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2",
+                          "--dt", "150", "--horizon", "300"],
+    "trajectory-t-max-1": ["trajectory", "--n-sites", "4", "--t-max", "1"],
 }
 
 
@@ -121,6 +127,9 @@ CONFIG_CASES = {
     "config-check-grid-past-t-max": (["check", "--config", "config.json", "--m", "20"], {
         "t_max": 1, "check": {"t_grid": [0, 1.5]},
     }),
+    # An output path under a regular file.
+    "config-output-under-file": (["bayes", "--config", "config.json", "--m", "10",
+                                  "--output", "config.json/x.csv"], {}),
 }
 
 # Usage errors: each exits 2 with one error line.
@@ -134,6 +143,16 @@ ERROR_CASES = {
     "error-check-huge-grid": ["check", "--m", "5", "--t-grid", "0,1e300"],
     "error-step-huge-horizon": ["sweep", "--mode", "step", "--n-list", "2", "--m", "2",
                                 "--horizon", "1e300"],
+    "error-step-horizon-below-dt": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2",
+                                    "--horizon", "0.01"],
+    # N = 4's default horizon of 100 is below dt; N = 512's of 183.1 is
+    # 2**53 steps or more, while N = 4's and N = 8's are not.
+    "error-sweep-dt-past-horizon": ["sweep", "--n-list", "4,8,16", "--m", "2", "--dt", "150"],
+    "error-sweep-row-huge-horizon": ["sweep", "--m", "2", "--n-list", "4,8,512",
+                                     "--dt", "1.5e-14"],
+    "error-trajectory-t-max-below-dt": ["trajectory", "--t-max", "0.01"],
+    "error-trajectory-t-max-inf": ["trajectory", "--t-max", "inf"],
+    "error-trajectory-t-max-huge": ["trajectory", "--t-max", "1e300"],
 }
 
 
