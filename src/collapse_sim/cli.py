@@ -2,15 +2,16 @@
 
 Subcommands: trajectory, sweep, bayes, bloch, check.  Each option is
 declared once, as a row of ``ROOT_OPTIONS`` (the SimParams fields,
-path_stride and threads) or of its subcommand's ``COMMANDS`` entry; the
-rows give the flags, the config keys, the parsers and the defaults.  A
-subcommand's ``reads`` names the root options it takes: only those get a
-flag, a resolved setting and a place in its ``SimParams``, so a flag for
-a root setting it never reads is a usage error.  ``t_max`` is the horizon
-of a run with a collapse rule, so only ``trajectory`` reads it; ``check``,
-``sweep --mode step`` and ``bloch`` take their length from their own
-grid, horizon or step count, and ``sweep --mode times`` gives each size
-its default horizon.  Settings come from an
+t_max, path_stride and threads) or of its subcommand's ``COMMANDS``
+entry; the rows give the flags, the config keys, the parsers and the
+defaults.  A subcommand's ``reads`` names the root options it takes:
+only those get a flag and a resolved setting, and the SimParams fields
+among them a place in its ``SimParams``, so a flag for a root setting
+it never reads is a usage error.  ``t_max`` is the horizon of a run
+with a collapse rule, so only ``trajectory`` reads it, and passes it to
+``run_trajectory``; ``check``, ``sweep --mode step`` and ``bloch`` take
+their length from their own grid, horizon or step count, and ``sweep
+--mode times`` gives each size its default horizon.  Settings come from an
 optional JSON config file plus flags; precedence is flags, then the
 subcommand's block in the file ("sweep", "bayes", ...), then the file's
 root keys, then the row's default.  Root keys are shared by every
@@ -298,9 +299,8 @@ def cmd_trajectory(s: argparse.Namespace, params: SimParams) -> int:
     if s.index < 0:
         raise ConfigError("trajectory index must be nonnegative")
 
-    result = run_trajectory(
-        params, derive_stream(params.master_seed, s.index), path_stride=s.path_stride
-    )
+    result = run_trajectory(params, derive_stream(params.master_seed, s.index), t_max=s.t_max,
+                            path_stride=s.path_stride)
     header = ["t"] + [f"u_{j + 1}" for j in range(params.n_sites)]
     rows = (
         [t] + list(state - 1.0)
@@ -454,8 +454,9 @@ class Command:
     """A subcommand: its runner, its own options, and the names of the
     ``ROOT_OPTIONS`` it reads in any of its modes (default: all of them).
 
-    Only ``trajectory`` reads ``t_max`` and only ``sweep`` does not read
-    ``n_sites``: its sizes come from ``n_list``.  Every subcommand reads
+    Only ``trajectory`` reads ``t_max``, which it passes to
+    ``run_trajectory``, and only ``sweep`` does not read ``n_sites``: its
+    sizes come from ``n_list``.  Every subcommand reads
     ``threads``: scripts pass it to each one, and no output depends on it.
     """
 
@@ -472,14 +473,11 @@ def _options(command: Command) -> tuple[Option, ...]:
 
 def _sim_params(command: Command, settings: argparse.Namespace) -> SimParams:
     """SimParams from the fields the command reads; the rest get their
-    rows' defaults."""
+    rows' defaults.  ``t_max`` is not a field: a run's horizon is an
+    argument of the run."""
     rows = {option.name: option for option in ROOT_OPTIONS}
-    sim = {f.name: getattr(settings, f.name) if f.name in command.reads else rows[f.name].default
-           for f in fields(SimParams)}
-    if "t_max" not in command.reads:
-        # An unread horizon is one step, which every valid dt passes.
-        sim["t_max"] = sim["dt"]
-    return SimParams(**sim)
+    return SimParams(**{f.name: getattr(settings, f.name) if f.name in command.reads
+                        else rows[f.name].default for f in fields(SimParams)})
 
 
 COMMANDS = {

@@ -19,10 +19,11 @@ Conventions used throughout the package:
   every stream the bits ``derive_stream`` gives it.
 * The rules for run settings live here, once each: integers
   (:func:`_check_integer`), the step ``dt``, a run's step count
-  (:func:`_check_steps`), the threshold ``delta``,
-  site indices, normalized amplitudes and the uniform start
-  (:func:`init_uniform`).  The other modules call them instead of
-  keeping copies.
+  (:func:`_check_steps`) and the length of a run given as a time
+  (:func:`_run_steps`, for ``t_max`` and a step sweep's horizon), the
+  threshold ``delta``, site indices, normalized amplitudes and the
+  uniform start (:func:`init_uniform`).  The other modules call them
+  instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class NoiseKind(str, enum.Enum):
 
 
 def default_t_max(n_sites: int) -> float:
-    """Safety horizon, generous relative to the slow growth of collapse times."""
+    """Safety horizon, generous relative to the slow growth of collapse
+    times: the ``t_max`` of ``run_trajectory`` and ``run_ensemble`` when
+    none is given."""
     return 100.0 * max(1.0, math.log(math.log(max(n_sites, 3))))
 
 
@@ -82,8 +85,6 @@ class SimParams:
         Integration time step, positive and finite.
     delta : float
         Collapse threshold: a site wins once ``V >= 2 - delta``.
-    t_max : float, optional
-        Safety horizon; defaults to :func:`default_t_max`.
     noise_kind : NoiseKind
         Distribution of the per-site step noise.
     master_seed : int
@@ -91,12 +92,13 @@ class SimParams:
 
     ``n_sites`` and ``master_seed`` accept Python and numpy integers and
     are stored as Python ints; a float, even a whole one, is rejected.
+    A run's length is not a parameter here: the runs that stop on
+    collapse take their horizon ``t_max`` as an argument of their own.
     """
 
     n_sites: int
     dt: float = 1.0 / 25.0
     delta: float = 1e-2
-    t_max: float | None = None
     noise_kind: NoiseKind = NoiseKind.NORMAL
     master_seed: int = 0
 
@@ -107,13 +109,6 @@ class SimParams:
         _check_dt(self.dt)
         _check_delta(self.delta)
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))
-        if self.t_max is None:
-            object.__setattr__(self, "t_max", default_t_max(self.n_sites))
-        if not math.isfinite(self.t_max):
-            raise ValueError("t_max must be finite")
-        if self.t_max < self.dt:
-            raise ValueError("t_max must be >= dt")
-        _check_steps(self.t_max, self.dt, "t_max")
         object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed"))
 
 
@@ -138,6 +133,19 @@ def _check_steps(t: float, dt: float, name: str) -> None:
     """Reject a run of time ``t`` that takes 2**53 steps of ``dt`` or more."""
     if t / dt >= _MAX_STEPS:
         raise ValueError(f"{name} / dt must be below 2**53 steps")
+
+
+def _run_steps(t: float, dt: float, name: str) -> int:
+    """Whole steps of ``dt`` in a run of time ``t``, forgiving rounding.
+
+    The time must be finite, at least one step and below 2**53 steps.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite")
+    if t < dt:
+        raise ValueError(f"{name} must be >= dt")
+    _check_steps(t, dt, name)
+    return int(math.floor(t / dt + 1e-9))
 
 
 def _check_delta(delta: float) -> None:

@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SimParams, _check_delta, _check_dt, derive_streams, init_uniform,
-                   noise_sampler, validate_state)
+from .core import (SimParams, _check_delta, _check_dt, _run_steps, default_t_max,
+                   derive_streams, init_uniform, noise_sampler, validate_state)
 
 __all__ = [
     "increment",
@@ -248,11 +248,6 @@ def _start_state(n: int, initial: np.ndarray | None) -> np.ndarray:
     return state
 
 
-def _horizon_steps(t: float, dt: float) -> int:
-    """Whole steps of size ``dt`` within time ``t``, forgiving rounding."""
-    return int(math.floor(t / dt + 1e-9))
-
-
 def _drive_block(params: SimParams, streams: list, live: np.ndarray, steps: int,
                  state: np.ndarray, step, observe) -> None:
     """Step one trajectory per stream together, as the rows of one array.
@@ -377,6 +372,7 @@ def run_trajectory(
     stream: np.random.Generator,
     initial: np.ndarray | None = None,
     *,
+    t_max: float | None = None,
     path_stride: int | None = None,
 ) -> TrajectoryResult:
     """Integrate one realization until collapse or the time horizon.
@@ -384,7 +380,7 @@ def run_trajectory(
     Parameters
     ----------
     params : SimParams
-        Step size, collapse threshold, horizon and noise family.
+        Size, step size, collapse threshold and noise family.
     stream : numpy Generator
         Source of noise for this realization.  Callers wanting
         reproducibility should derive it with ``derive_stream``.  The
@@ -393,6 +389,9 @@ def run_trajectory(
         last step taken; use a fresh stream for each call.
     initial : array, optional
         Starting state; defaults to the uniform point 2/n per site.
+    t_max : float, optional
+        Time horizon; defaults to ``default_t_max(params.n_sites)``.  It
+        must be finite, at least ``dt`` and below 2**53 steps.
     path_stride : int, optional
         Record the path: the start, every ``path_stride``-th step and the
         last step.  None records nothing.
@@ -406,7 +405,7 @@ def run_trajectory(
         raise ValueError("path_stride must be >= 1")
     n = params.n_sites
     dt = params.dt
-    max_steps = _horizon_steps(params.t_max, dt)
+    max_steps = _run_steps(default_t_max(n) if t_max is None else t_max, dt, "t_max")
     times: list[float] = []
     states: list[np.ndarray] = []
     end: dict = {}

@@ -12,6 +12,11 @@ collapse time to T = a * lnln(N) + b over rows with N >= 4, the smallest
 size for which ln ln N is positive.  Rows where
 more than 1% of trajectories hit the time horizon are excluded from the
 fit and flagged, never silently averaged.
+
+Only the collapse-time runs have a horizon: ``run_ensemble`` takes it
+as its ``t_max`` argument, and each row of ``scaling_sweep`` runs to
+``default_t_max(N)``.  The fixed-horizon experiments run to the end of
+their own grid or window.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SimParams, _check_integer, _check_steps, derive_seed, init_uniform
+from .core import (SimParams, _check_integer, _check_steps, _run_steps, default_t_max,
+                   derive_seed, init_uniform)
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import derive_stream  # noqa: F401
-from .sde import (_collapsed, _drive_ensemble, _fixed_start, _horizon_steps, _Moments,
-                  _start_state, euler_step)
+from .sde import _collapsed, _drive_ensemble, _fixed_start, _Moments, _start_state, euler_step
 
 __all__ = [
     "CollapseStats",
@@ -120,10 +125,11 @@ class FitResult:
 def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
     """Collapse times and winners of trajectories start .. start + count - 1.
 
-    A trajectory stops as soon as it collapses.  Entry i gives the same
-    bits as ``run_trajectory`` on stream (master_seed, start + i).
+    A trajectory stops as soon as it collapses or after ``steps`` steps.
+    Entry i gives the same bits as ``run_trajectory`` on stream
+    (master_seed, start + i) with a horizon of that many steps.
     """
-    params, start, count, initial = args
+    params, start, count, initial, steps = args
     times = np.full(count, np.nan)
     winners = np.full(count, -1, dtype=np.int64)
 
@@ -136,9 +142,8 @@ def _run_block(args) -> tuple[np.ndarray, np.ndarray]:
         winners[idx] = site
         return ~done
 
-    _drive_ensemble(params, start, start + count,
-                    _fixed_start(_start_state(params.n_sites, initial)),
-                    _horizon_steps(params.t_max, params.dt), euler_step, collapse)
+    first = _fixed_start(_start_state(params.n_sites, initial))
+    _drive_ensemble(params, start, start + count, first, steps, euler_step, collapse)
     return times, winners
 
 
@@ -159,9 +164,13 @@ def run_ensemble(
     m: int,
     initial: np.ndarray | None = None,
     workers: int = 1,
+    t_max: float | None = None,
 ) -> CollapseStats:
     """Collapse-time statistics over m independent trajectories.
 
+    Each trajectory runs until it collapses or reaches the horizon
+    ``t_max`` (default: ``default_t_max(params.n_sites)``), which is
+    checked as ``run_trajectory`` checks it, before any worker starts.
     Trajectory i always runs on the stream derived from
     (params.master_seed, i).  The indices are split into min(workers, m)
     contiguous ranges; one range runs in this process, several are
@@ -173,10 +182,12 @@ def run_ensemble(
     if _check_integer(workers, "workers") < 1:
         raise ValueError("workers must be positive")
     initial = _start_state(params.n_sites, initial)
+    steps = _run_steps(default_t_max(params.n_sites) if t_max is None else t_max, params.dt,
+                       "t_max")
 
     parts = min(workers, m)
     cuts = [m * w // parts for w in range(parts + 1)]
-    ranges = [(params, lo, hi - lo, initial) for lo, hi in zip(cuts, cuts[1:])]
+    ranges = [(params, lo, hi - lo, initial, steps) for lo, hi in zip(cuts, cuts[1:])]
     if parts == 1:
         results = list(map(_run_block, ranges))
     else:
@@ -208,21 +219,22 @@ def scaling_sweep(
 
     n_list must be strictly increasing.  Row seeds are derived from
     (params.master_seed, N), so adding or removing sizes never perturbs
-    the other rows.  The time horizon is recomputed per N from the
-    default rule rather than inherited, since a horizon sized for small N
-    would truncate large-N runs.  Every size is checked before any row
-    runs.
+    the other rows.  Row N runs to its own default horizon,
+    ``default_t_max(N)``, since one horizon sized for small N would
+    truncate large-N runs.  Every size, and every row's horizon, is
+    checked before any row runs.
     """
     rows = _sweep_rows(n_list, params)
+    for row in rows:
+        _run_steps(default_t_max(row.n_sites), row.dt, "t_max")
     return SweepTable(rows=tuple(run_ensemble(row, m, workers=workers) for row in rows))
 
 
 def _sweep_rows(n_list, params: SimParams) -> list[SimParams]:
     """The parameters of every row of an N sweep, built before any row
     runs, so every size, and their strictly increasing order, is checked
-    first.  Row N gets the default horizon and the seed derived from
-    (params.master_seed, N)."""
-    rows = [replace(params, n_sites=n, t_max=None) for n in n_list]
+    first.  Row N gets the seed derived from (params.master_seed, N)."""
+    rows = [replace(params, n_sites=n) for n in n_list]
     if not rows:
         raise ValueError("n_list must be nonempty")
     if any(b.n_sites <= a.n_sites for a, b in zip(rows, rows[1:])):
@@ -296,7 +308,7 @@ def correlation_bound_check(
 
     The diffusion is integrated without any collapse stopping rule, since
     the moment inequality concerns the raw process, and it runs to the
-    last grid time: ``params.t_max`` plays no part.  Grid times snap to
+    last grid time.  Grid times snap to
     the nearest step; a last grid time of 2**53 steps or more is
     rejected.  All m trajectories start uniform, the situation the bound
     addresses.
@@ -408,20 +420,15 @@ def initial_step_experiment(
 
     Integrates the raw diffusion from the uniform start to the horizon
     with no stopping rule and records the running maximum of V_1 minus
-    its starting value 2 / N.  ``params.t_max`` plays no part.  Rejects
-    horizons shorter than one step or of 2**53 steps or more.  n_list must
+    its starting value 2 / N.  Rejects a horizon that is not finite,
+    shorter than one step or of 2**53 steps or more.  n_list must
     be strictly increasing.  Row N runs on the seed derived from
     (params.master_seed, N).  Every size is checked before any row runs.
     """
     rows = _sweep_rows(n_list, params)
-    if not math.isfinite(horizon):
-        raise ValueError("horizon must be finite")
-    if horizon < params.dt:
-        raise ValueError("horizon must cover at least one step")
-    _check_steps(horizon, params.dt, "horizon")
+    steps = _run_steps(horizon, params.dt, "horizon")
     if _check_integer(m, "m") < 1:
         raise ValueError("need at least one realization")
-    steps = _horizon_steps(horizon, params.dt)
     means = np.empty(len(rows))
     stderrs = np.empty(len(rows))
     for i, row in enumerate(rows):

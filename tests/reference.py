@@ -133,13 +133,14 @@ def reference_euler_step(state, noise, dt):
     return reference_repair_simplex(raw)
 
 
-def reference_trajectory(params, stream, initial=None):
-    """Collapse time and winner of one trajectory, or (None, None)."""
+def reference_trajectory(params, stream, t_max, initial=None):
+    """Collapse time and winner of one trajectory with horizon ``t_max``,
+    or (None, None)."""
     n = params.n_sites
     state = np.full(n, 2.0 / n) if initial is None else np.asarray(initial, dtype=float).copy()
     dt = params.dt
     draw = noise_sampler(params.noise_kind)
-    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+    max_steps = int(math.floor(t_max / dt + 1e-9))
     hits = np.flatnonzero(state >= 2.0 - params.delta)
     if hits.size:
         return 0.0, int(hits[0])
@@ -152,12 +153,12 @@ def reference_trajectory(params, stream, initial=None):
 
 
 def reference_run_block(args):
-    params, start, count, initial = args
+    params, start, count, initial, t_max = args
     times = np.empty(count)
     winners = np.empty(count, dtype=np.int64)
     for k in range(count):
         stream = derive_stream(params.master_seed, start + k)
-        time, winner = reference_trajectory(params, stream, initial)
+        time, winner = reference_trajectory(params, stream, t_max, initial)
         if time is None:
             times[k] = np.nan
             winners[k] = -1
@@ -167,9 +168,10 @@ def reference_run_block(args):
     return times, winners
 
 
-def reference_ensemble(params, m, initial=None):
+def reference_ensemble(params, m, t_max, initial=None):
     """(mean, stderr, histogram, exceeded) over trajectories 0 .. m - 1."""
-    parts = [reference_run_block((params, s, min(256, m - s), initial)) for s in range(0, m, 256)]
+    parts = [reference_run_block((params, s, min(256, m - s), initial, t_max))
+             for s in range(0, m, 256)]
     times = np.concatenate([p[0] for p in parts])
     winners = np.concatenate([p[1] for p in parts])
     collapsed = ~np.isnan(times)
@@ -456,7 +458,7 @@ def reference_detect_collapse(state, delta):
     return int(hits[0])
 
 
-def reference_run_trajectory(params, stream, initial=None, *, path_stride=None):
+def reference_run_trajectory(params, stream, initial=None, *, t_max, path_stride=None):
     if path_stride is not None and path_stride < 1:
         raise ValueError("path_stride must be >= 1")
     n = params.n_sites
@@ -471,7 +473,7 @@ def reference_run_trajectory(params, stream, initial=None, *, path_stride=None):
     dt = params.dt
     delta = params.delta
     draw = noise_sampler(params.noise_kind)
-    max_steps = int(math.floor(params.t_max / dt + 1e-9))
+    max_steps = int(math.floor(t_max / dt + 1e-9))
 
     record = path_stride is not None
     times = []

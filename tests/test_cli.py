@@ -205,6 +205,15 @@ class TestSweep:
         assert fit["mode"] == "step"
         assert fit["realizations"] == 16
 
+    def test_step_mode_length_is_the_horizon_alone(self):
+        # dt = 150 is past the default collapse horizon of 100 at N = 2 and
+        # 4, which step mode never reads: --horizon alone sets its length.
+        rc = main(["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2", "--dt", "150",
+                   "--horizon", "300"])
+        assert rc == 0
+        assert '"horizon": 300,' in read("sweep_fit.json").decode()
+        assert json.loads(read("sweep_fit.json"))["horizon"] == 300
+
 
 class TestBayes:
     def test_outputs(self):
@@ -435,8 +444,11 @@ def test_every_usage_error_returns_2_with_one_line(argv, text, capsys):
         ["check", "--m", "5", "--t-grid", "0,1e300"],
         ["check", "--m", "5", "--dt", "1e-300", "--t-grid", "0,1"],
         ["sweep", "--mode", "step", "--m", "4", "--n-list", "2,4", "--horizon", "1e300"],
+        # Only N = 512's default horizon, 183.1, is 2**53 steps or more, and
+        # it is checked before the first row runs.
+        ["sweep", "--m", "2", "--n-list", "4,8,512", "--dt", "1.5e-14"],
     ],
-    ids=["check-huge-t-max", "check-tiny-dt", "step-huge-t-max"],
+    ids=["check-huge-t-max", "check-tiny-dt", "step-huge-t-max", "sweep-row-huge-t-max"],
 )
 def test_step_count_past_2_pow_53_is_a_usage_error(argv, subprocess_env):
     # A child process, so a command that never ends fails the test at the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,9 +22,17 @@ from collapse_sim.core import (
 )
 from collapse_sim.bayes import born_frequencies
 from collapse_sim.bloch import purity_trace, twin_deviation
+from collapse_sim.sde import run_trajectory
 from collapse_sim.stats import correlation_bound_check, initial_step_experiment, run_ensemble
 
 P2 = SimParams(n_sites=2)
+
+# The two runs that take a horizon, each given ``t_max`` (None: the default).
+HORIZON_RUNS = {
+    "run_trajectory": lambda params, t_max: run_trajectory(params, derive_stream(0, 0),
+                                                           t_max=t_max),
+    "run_ensemble": lambda params, t_max: run_ensemble(params, 2, t_max=t_max),
+}
 
 # Each entry point with one count replaced by ``bad``, and that count's name.
 COUNTS = {
@@ -55,15 +64,28 @@ class TestSimParams:
         assert p.dt == pytest.approx(0.04)
         assert p.delta == 1e-2
         assert p.noise_kind is NoiseKind.NORMAL
-        assert p.t_max == pytest.approx(default_t_max(4))
+        assert p.master_seed == 0
+        # A run's horizon is an argument of the run, not a parameter.
+        assert [f.name for f in dataclasses.fields(SimParams)] == [
+            "n_sites", "dt", "delta", "noise_kind", "master_seed"]
+        with pytest.raises(TypeError):
+            SimParams(n_sites=4, t_max=10.0)
 
     def test_t_max_default_rule(self):
         # 100 * max(1, ln ln max(N, 3))
         assert default_t_max(2) == pytest.approx(100.0 * 1.0)
         assert default_t_max(3) == pytest.approx(100.0 * 1.0)
         assert default_t_max(512) == pytest.approx(100.0 * math.log(math.log(512)))
-        p = SimParams(n_sites=512)
-        assert p.t_max == pytest.approx(default_t_max(512))
+        # Both runs default to it: a dt of exactly default_t_max(N) is one
+        # step of horizon, and the next float up is less than one.
+        for n in (4, 512):
+            horizon = default_t_max(n)
+            for run in HORIZON_RUNS.values():
+                run(SimParams(n_sites=n, dt=horizon), None)
+                with pytest.raises(ValueError, match="^t_max must be >= dt$"):
+                    run(SimParams(n_sites=n, dt=math.nextafter(horizon, math.inf)), None)
+        assert run_trajectory(SimParams(n_sites=4, dt=default_t_max(4)),
+                              derive_stream(0, 0)).steps_taken <= 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -81,19 +103,27 @@ class TestSimParams:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SimParams(**kwargs)
+        kwargs = dict(kwargs)
+        t_max = kwargs.pop("t_max", None)
+        if t_max is None:
+            with pytest.raises(ValueError):
+                SimParams(**kwargs)
+            return
+        # A bad t_max is the runs' to reject: SimParams has no horizon.
+        params = SimParams(**kwargs)
+        message = "t_max must be finite" if not math.isfinite(t_max) else "t_max must be >= dt"
+        for run in HORIZON_RUNS.values():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run(params, t_max)
 
     def test_step_count_below_2_pow_53(self):
         # Past 2**53 steps k * dt no longer names step k.
-        assert SimParams(n_sites=2, dt=1.0, t_max=2.0**53 - 1.0).t_max == 2.0**53 - 1.0
-        for kwargs in (
-            dict(dt=1.0, t_max=2.0**53),
-            dict(dt=0.04, t_max=1e300),
-            dict(dt=1e-300),
-        ):
-            with pytest.raises(ValueError, match="2\\*\\*53"):
-                SimParams(n_sites=2, **kwargs)
+        assert core._run_steps(2.0**53 - 1.0, 1.0, "t_max") == 2**53 - 1
+        for run in HORIZON_RUNS.values():
+            run(SimParams(n_sites=2, dt=1.0), 2.0**53 - 1.0)
+            for dt, t_max in ((1.0, 2.0**53), (0.04, 1e300), (1e-300, None)):
+                with pytest.raises(ValueError, match="^t_max / dt must be below 2\\*\\*53 steps$"):
+                    run(SimParams(n_sites=2, dt=dt), t_max)
 
     def test_noise_kind_coercion(self):
         assert SimParams(n_sites=2, noise_kind="bernoulli").noise_kind is NoiseKind.BERNOULLI

@@ -12,7 +12,8 @@ import collapse_sim
 from collapse_sim import sde
 from collapse_sim.bayes import born_frequencies
 from collapse_sim.bloch import purity_trace
-from collapse_sim.core import NoiseKind, SimParams, derive_stream, init_weighted, validate_state
+from collapse_sim.core import (NoiseKind, SimParams, default_t_max, derive_stream, init_weighted,
+                               validate_state)
 from collapse_sim.sde import (
     TrajectoryResult,
     _repair_simplex,
@@ -381,10 +382,13 @@ class TestRunTrajectory:
         assert losers.max() <= params.delta
 
     def test_horizon_exceeded(self):
-        params = SimParams(n_sites=2, dt=0.04, delta=1e-6, t_max=0.08)
-        r = run_trajectory(params, derive_stream(1, 0))
+        params = SimParams(n_sites=2, dt=0.04, delta=1e-6)
+        r = run_trajectory(params, derive_stream(1, 0), t_max=0.08)
         assert r.collapse_time is None and r.winner is None
         assert r.steps_taken == 2
+        # Without a t_max the horizon is default_t_max(2) = 100, so the
+        # same stream runs on past those two steps.
+        assert run_trajectory(params, derive_stream(1, 0)).steps_taken > 2
 
     def test_collapse_time_is_step_multiple(self):
         params = SimParams(n_sites=3, dt=0.02, master_seed=9)
@@ -405,8 +409,8 @@ class TestRunTrajectory:
         assert all(s % 5 == 0 for s in steps[1:-1])
 
     def test_norm_conserved_along_path(self):
-        params = SimParams(n_sites=16, dt=0.04, delta=1e-6, t_max=40.0)
-        r = run_trajectory(params, derive_stream(31, 4), path_stride=1)
+        params = SimParams(n_sites=16, dt=0.04, delta=1e-6)
+        r = run_trajectory(params, derive_stream(31, 4), t_max=40.0, path_stride=1)
         sums = r.path_states.sum(axis=1)
         assert np.max(np.abs(sums - 2.0)) <= 1e-12
 
@@ -440,11 +444,13 @@ class TestRunTrajectoryBitwise:
     """The one-row block against the verbatim one-trajectory loop, bitwise."""
 
     @staticmethod
-    def assert_same(params, index, initial=None, path_stride=None):
+    def assert_same(params, index, initial=None, path_stride=None, t_max=None):
+        # No t_max: the run's default horizon, given to the reference as a time.
         got = run_trajectory(params, derive_stream(params.master_seed, index), initial,
-                             path_stride=path_stride)
-        want = reference_run_trajectory(params, derive_stream(params.master_seed, index),
-                                        initial, path_stride=path_stride)
+                             t_max=t_max, path_stride=path_stride)
+        want = reference_run_trajectory(
+            params, derive_stream(params.master_seed, index), initial, path_stride=path_stride,
+            t_max=default_t_max(params.n_sites) if t_max is None else t_max)
         for f in fields(TrajectoryResult):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b), f.name
@@ -468,8 +474,8 @@ class TestRunTrajectoryBitwise:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("path_stride", [None, 7])
     def test_horizon_exceedance(self, kind, path_stride):
-        params = SimParams(n_sites=7, dt=0.04, t_max=0.5, noise_kind=kind, master_seed=8)
-        r = self.assert_same(params, 1, path_stride=path_stride)
+        params = SimParams(n_sites=7, dt=0.04, noise_kind=kind, master_seed=8)
+        r = self.assert_same(params, 1, path_stride=path_stride, t_max=0.5)
         assert r.collapse_time is None and r.steps_taken == 12
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
@@ -515,7 +521,8 @@ class TestBlockRows:
             monkeypatch.setattr(sde, "_DRAW_CAP", cap)
             blocks.append(0)
             results = [
-                _run_block((params, 0, m, None)),
+                # 2500 steps: the default horizon of 100 at N = 2.
+                _run_block((params, 0, m, None, 2500)),
                 astuple(correlation_bound_check(params, m, [0.0, 0.5, 1.0])),
                 astuple(initial_step_experiment([2, 3], params, horizon=0.6, m=m)),
                 astuple(purity_trace(params, m, 8, energy=0.3, tunneling=0.2, tau_m=0.8)),

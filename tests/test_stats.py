@@ -7,7 +7,8 @@ from scipy.special import expit
 from scipy.stats import linregress, norm
 
 from collapse_sim import stats
-from collapse_sim.core import NoiseKind, SimParams, derive_seed, derive_stream, init_weighted
+from collapse_sim.core import (NoiseKind, SimParams, _run_steps, default_t_max, derive_seed,
+                               derive_stream, init_weighted)
 from collapse_sim.sde import run_trajectory
 from collapse_sim.stats import (
     BoundCheckReport,
@@ -91,11 +92,29 @@ class TestRunEnsemble:
             assert np.array_equal(a.winner_histogram, other.winner_histogram)
 
     def test_exceedances_counted(self):
-        p = SimParams(n_sites=4, dt=0.04, delta=1e-9, t_max=0.2, master_seed=2)
-        st = run_ensemble(p, 40)
+        p = SimParams(n_sites=4, dt=0.04, delta=1e-9, master_seed=2)
+        st = run_ensemble(p, 40, t_max=0.2)
         assert st.horizon_exceeded == 40
         assert math.isnan(st.mean_time)
         assert st.winner_histogram.sum() == 0
+        # The default horizon of 100 lets every one of them collapse.
+        assert run_ensemble(p, 40).horizon_exceeded == 0
+
+    @pytest.mark.parametrize("t_max, message", [
+        (math.nan, "t_max must be finite"),
+        (math.inf, "t_max must be finite"),
+        (0.01, "t_max must be >= dt"),
+        (1e300, r"t_max / dt must be below 2\*\*53 steps"),
+    ], ids=["nan", "inf", "below-dt", "huge"])
+    def test_bad_t_max_rejected_before_any_work(self, monkeypatch, t_max, message):
+        # Raised here, before a worker process starts or a trajectory runs.
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fail)
+        monkeypatch.setattr(stats, "_drive_ensemble", fail)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_ensemble(SimParams(n_sites=2, dt=0.04), 10, workers=2, t_max=t_max)
 
     def test_weighted_start_histogram_shape(self):
         p = SimParams(n_sites=3, dt=0.04, master_seed=7)
@@ -178,17 +197,21 @@ class TestTwoSiteEulerChain:
 class TestBlockEngineBitwise:
     """The block engine against the one-trajectory-at-a-time loop, bitwise."""
 
+    # No t_max: the runs' default horizon, given to the reference as a time.
+
     @staticmethod
-    def assert_block_equal(params, start, count, initial=None):
-        got = _run_block((params, start, count, initial))
-        want = reference_run_block((params, start, count, initial))
+    def assert_block_equal(params, start, count, initial=None, t_max=None):
+        horizon = default_t_max(params.n_sites) if t_max is None else t_max
+        got = _run_block((params, start, count, initial, _run_steps(horizon, params.dt, "t_max")))
+        want = reference_run_block((params, start, count, initial, horizon))
         assert np.array_equal(got[0], want[0], equal_nan=True)
         assert np.array_equal(got[1], want[1])
 
     @staticmethod
     def assert_ensemble_equal(params, m, initial=None, workers=1):
         st = run_ensemble(params, m, initial=initial, workers=workers)
-        mean, stderr, hist, exceeded = reference_ensemble(params, m, initial)
+        mean, stderr, hist, exceeded = reference_ensemble(params, m,
+                                                          default_t_max(params.n_sites), initial)
         assert np.array_equal(st.mean_time, mean, equal_nan=True)
         assert np.array_equal(st.stderr_time, stderr, equal_nan=True)
         assert np.array_equal(st.winner_histogram, hist)
@@ -204,10 +227,13 @@ class TestBlockEngineBitwise:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_horizon_exceedances(self, kind):
-        params = SimParams(n_sites=2, dt=0.04, t_max=0.4, noise_kind=kind, master_seed=3)
-        got = _run_block((params, 0, 60, None))
+        # 0.4 is 10 steps of 0.04.
+        params = SimParams(n_sites=2, dt=0.04, noise_kind=kind, master_seed=3)
+        got = _run_block((params, 0, 60, None, 10))
         assert np.isnan(got[0]).any() and not np.isnan(got[0]).all()
-        self.assert_block_equal(params, 0, 60)
+        self.assert_block_equal(params, 0, 60, t_max=0.4)
+        st = run_ensemble(params, 60, t_max=0.4)
+        assert st.horizon_exceeded == np.isnan(got[0]).sum()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_weighted_start(self, kind):
@@ -246,13 +272,14 @@ class TestBlockEngineBitwise:
         # The README contract: trajectory i of an ensemble replays alone on
         # stream (master_seed, i).  m = 300 crosses the block boundary, and
         # the short horizon leaves some trajectories uncollapsed.
-        params = SimParams(n_sites=4, dt=0.04, t_max=3.0, noise_kind=kind, master_seed=17)
-        parts = [_run_block((params, 0, 256, None)), _run_block((params, 256, 44, None))]
+        # 3.0 is 75 steps of 0.04.
+        params = SimParams(n_sites=4, dt=0.04, noise_kind=kind, master_seed=17)
+        parts = [_run_block((params, 0, 256, None, 75)), _run_block((params, 256, 44, None, 75))]
         times = np.concatenate([p[0] for p in parts])
         winners = np.concatenate([p[1] for p in parts])
         assert np.isnan(times).any() and not np.isnan(times).all()
         for i in range(300):
-            r = run_trajectory(params, derive_stream(params.master_seed, i))
+            r = run_trajectory(params, derive_stream(params.master_seed, i), t_max=3.0)
             if np.isnan(times[i]):
                 assert r.collapse_time is None and winners[i] == -1
             else:
@@ -333,6 +360,21 @@ def test_sizes_checked_before_any_row_runs(monkeypatch, sweep, n_list):
     monkeypatch.setattr(stats, "_drive_ensemble", fail)
     with pytest.raises(ValueError, match="n_sites must be an integer"):
         sweep(n_list, SimParams(n_sites=2, dt=0.04))
+
+
+@pytest.mark.parametrize("dt, message", [
+    (150.0, "t_max must be >= dt"),
+    (1.5e-14, r"t_max / dt must be below 2\*\*53 steps"),
+], ids=["first-row-below-dt", "last-row-huge"])
+def test_sweep_horizons_checked_before_any_row_runs(monkeypatch, dt, message):
+    # Row N runs to default_t_max(N): 100 at N = 4 and 183.1 at N = 512.
+    # 100 / 1.5e-14 steps pass the 2**53 rule and 183.1 / 1.5e-14 do not.
+    def fail(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(stats, "run_ensemble", fail)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scaling_sweep([4, 8, 512], SimParams(n_sites=2, dt=dt), 2)
 
 
 def test_numpy_integer_sizes_give_the_int_rows():
@@ -466,12 +508,14 @@ class TestBoundCheck:
             correlation_bound_check(SimParams(n_sites=1, dt=0.04), 10, [0.0])
 
     def test_grid_past_horizon_rejected(self):
-        # The grid sets the check's length: t_max does not bound it, and a
-        # grid time of 2**53 steps or more is rejected.
-        p = SimParams(n_sites=4, dt=0.04, t_max=1.0)
+        # The grid sets the check's length: no horizon bounds it, not even
+        # the collapse runs' default one, and a grid time of 2**53 steps or
+        # more is rejected.
+        p = SimParams(n_sites=4, dt=1.0)
         with pytest.raises(ValueError, match=r"grid time / dt must be below 2\*\*53 steps"):
             correlation_bound_check(p, 10, [0.0, 1e300])
-        assert correlation_bound_check(p, 10, [0.0, 2.0]).times[-1] == 2.0
+        assert default_t_max(4) < 150.0
+        assert correlation_bound_check(p, 10, [0.0, 150.0]).times[-1] == 150.0
 
 
 class TestStepExperiment:
@@ -497,10 +541,18 @@ class TestStepExperiment:
             initial_step_experiment([], SimParams(n_sites=2, dt=0.04), 1.0, 8)
 
     def test_horizon_bounded_by_the_step_rule_not_t_max(self):
-        p = SimParams(n_sites=2, dt=0.04, t_max=1.0)
-        with pytest.raises(ValueError, match=r"horizon / dt must be below 2\*\*53 steps"):
-            initial_step_experiment([2, 4], p, horizon=1e300, m=4)
+        # The horizon is checked by the run-length rule, as t_max is, and
+        # no t_max bounds it: the sizes' default horizon plays no part.
+        p = SimParams(n_sites=2, dt=0.04)
+        for horizon, message in ((1e300, r"horizon / dt must be below 2\*\*53 steps"),
+                                 (math.inf, "horizon must be finite"),
+                                 (0.01, "horizon must be >= dt")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                initial_step_experiment([2, 4], p, horizon=horizon, m=4)
         assert initial_step_experiment([2, 4], p, horizon=2.0, m=4).horizon == 2.0
+        # A dt past default_t_max(N) = 100 of both sizes.
+        rep = initial_step_experiment([2, 4], SimParams(n_sites=2, dt=150.0), horizon=300.0, m=2)
+        assert rep.horizon == 300.0
 
     def test_rejects_sizes_not_increasing(self):
         with pytest.raises(ValueError, match="n_list must be strictly increasing"):
