@@ -26,8 +26,9 @@ significant digits so files round-trip and reruns are byte-identical.
 Exit codes: 0 success, 2 config error, a run too large to allocate or
 an output file that cannot be opened for writing, 3 failed strict bound
 check.  An output path that is a directory, or whose directory is
-missing, and two output settings that name the same file are rejected
-before the run starts.
+missing or not a directory, and two output settings that name the same
+file are rejected before the run starts, with the error that opening
+the path would give.
 
 Worker parallelism is capped by --threads (fallback: the
 COLLAPSE_SIM_THREADS environment variable); results never depend on it.
@@ -104,13 +105,22 @@ def _create(path: str) -> TextIO:
 
 def _check_output(path: str) -> None:
     """Raise the error ``_create`` would give for a path that is empty, a
-    directory or in a missing directory, without creating anything."""
+    directory or in a directory that is missing or not a directory,
+    without creating anything."""
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not path or not os.path.isdir(os.path.dirname(path) or "."):
+    elif not path:
         code = errno.ENOENT
     else:
-        return
+        # The error of the directory's lookup, or ENOTDIR when it exists
+        # but is not a directory, is the one open gives.
+        try:
+            if os.path.isdir(os.path.dirname(path) or "."):
+                return
+            os.stat(os.path.dirname(path))
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
     raise ConfigError(f"cannot write output file: {OSError(code, os.strerror(code), path)}")
 
 

@@ -515,6 +515,23 @@ def test_output_that_cannot_be_opened_is_a_usage_error(argv, written, capsys, mo
     assert not list(Path().iterdir())
 
 
+@pytest.mark.parametrize("path", ["", "adir", "nodir/x.csv", "afile/x.csv", "afile/sub/x.csv"],
+                         ids=["empty", "directory", "missing-directory", "under-file",
+                              "below-file"])
+def test_output_error_is_the_one_open_gives(path, capsys, monkeypatch):
+    Path("adir").mkdir()
+    Path("afile").write_text("kept\n")
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    runs = []
+    monkeypatch.setattr(cli, "born_frequencies", lambda *args, **kwargs: runs.append(args))
+    assert main(["bayes", "--m", "10", "--output", path]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write output file: {opened.value}\n"
+    assert runs == [] and out == ""
+    assert sorted(p.name for p in Path().iterdir()) == ["adir", "afile"]
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
