@@ -166,7 +166,10 @@ def collapse_criterion(
     equivalently 2|alpha_n(t)|^2 - 1 >= 1 - delta, the same threshold the
     trajectory picture applies to V_n = 2|alpha_n|^2.  The comparison is
     done on max-shifted log weights.  alpha0 defaults to the uniform
-    superposition.
+    superposition.  delta goes through the trajectory picture's rule
+    (``core._check_delta``), so a delta whose ``2 - delta`` rounds to 2
+    is rejected here too, although the log-weight comparison could hold
+    it: both pictures accept the same thresholds.
     """
     _check_delta(delta)
     size = record.n_sites

@@ -7,7 +7,10 @@ entry; the rows give the flags, the config keys, the parsers and the
 defaults.  A subcommand's ``reads`` names the root options it takes:
 only those get a flag and a resolved setting, and the SimParams fields
 among them a place in its ``SimParams``, so a flag for a root setting
-it never reads is a usage error.  ``t_max`` is the horizon of a run
+it never reads is a usage error.  ``sweep``'s ``unread_in_mode`` names,
+per mode, the options that mode never reads; a flag for one of them is
+a usage error once the mode is resolved, while the same config key is
+ignored.  ``t_max`` is the horizon of a run
 with a collapse rule, so only ``trajectory`` reads it, and passes it to
 ``run_trajectory``; ``check``, ``sweep --mode step`` and ``bloch`` take
 their length from their own grid, horizon or step count, and ``sweep
@@ -41,7 +44,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, TextIO
 
 import numpy as np
@@ -50,6 +53,7 @@ from .bayes import born_frequencies
 from .bloch import purity_trace, twin_deviation
 from .core import NoiseKind, SimParams, derive_stream, init_uniform, init_weighted
 from .stats import (
+    _check_fit_sizes,
     correlation_bound_check,
     fit_lnln,
     initial_step_experiment,
@@ -302,6 +306,9 @@ def _settings(args, cfg: dict) -> argparse.Namespace:
             default = option.default
             value = default(settings) if callable(default) else default
         settings[option.name] = value
+    for name in COMMANDS[args.command].unread_in_mode.get(settings.get("mode"), ()):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--mode {settings['mode']} does not read {_flag(name)}")
     return argparse.Namespace(**settings)
 
 
@@ -337,11 +344,8 @@ def cmd_sweep(s: argparse.Namespace, params: SimParams) -> int:
         )
         return 0
 
-    # The fit's own input checks, made before the sweep rather than after it.
-    if s.n_min < 4:
-        raise ConfigError("n_min must be at least 4")
-    if sum(n >= s.n_min for n in s.n_list) < 3:
-        raise ConfigError(f"the fit needs at least 3 sizes with N >= n_min ({s.n_min})")
+    # The fit's rules on its sizes, checked before the sweep rather than after it.
+    _check_fit_sizes(s.n_list, s.n_min)
     table = scaling_sweep(s.n_list, params, s.m, workers=s.threads)
     fit = fit_lnln(table, n_min=s.n_min)
     _write_outputs(
@@ -461,19 +465,23 @@ def cmd_check(s: argparse.Namespace, params: SimParams) -> int:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its runner, its own options, and the names of the
-    ``ROOT_OPTIONS`` it reads in any of its modes (default: all of them).
+    """A subcommand: its runner, its own options, the names of the
+    ``ROOT_OPTIONS`` it reads in any of its modes (default: all of them),
+    and per mode, the options of either kind that mode never reads.
 
     Only ``trajectory`` reads ``t_max``, which it passes to
     ``run_trajectory``, and only ``sweep`` does not read ``n_sites``: its
     sizes come from ``n_list``.  Every subcommand reads
     ``threads``: scripts pass it to each one, and no output depends on it.
+    ``sweep --mode times`` never reads ``horizon``, and ``--mode step``
+    neither ``delta`` nor ``n_min``.
     """
 
     run: Callable[[argparse.Namespace, SimParams], int]
     help: str
     options: tuple[Option, ...]
     reads: tuple[str, ...] = tuple(option.name for option in ROOT_OPTIONS)
+    unread_in_mode: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def _options(command: Command) -> tuple[Option, ...]:
@@ -503,10 +511,11 @@ COMMANDS = {
         Option("m", _integer, lambda s: 64 if s["mode"] == "step" else 2000,
                "realizations per N (default: 2000, or 64 with --mode step)"),
         Option("horizon", _real, 1.0, "step mode: length of the early window"),
-        Option("n_min", _integer, 4, "smallest N in the fit"),
+        Option("n_min", _integer, 4, "times mode: smallest N in the fit"),
         Option("output", _text, "sweep.csv", "CSV table, one row per N"),
         Option("fit_output", _text, "sweep_fit.json", "JSON summary"),
-    ), reads=("dt", "delta", "noise_kind", "master_seed", "threads")),
+    ), reads=("dt", "delta", "noise_kind", "master_seed", "threads"),
+        unread_in_mode={"times": ("horizon",), "step": ("delta", "n_min")}),
     "bayes": Command(cmd_bayes, "closed-form outcome frequencies", (
         Option("weights", _parse_number_list, None,
                "initial excitation weights, comma-separated (default: uniform)"),

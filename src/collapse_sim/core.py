@@ -84,7 +84,8 @@ class SimParams:
     dt : float
         Integration time step, positive and finite.
     delta : float
-        Collapse threshold: a site wins once ``V >= 2 - delta``.
+        Collapse threshold: a site wins once ``V >= 2 - delta``; delta
+        lies in (2**-53, 1), so ``2 - delta`` is below 2.
     noise_kind : NoiseKind
         Distribution of the per-site step noise.
     master_seed : int
@@ -149,9 +150,13 @@ def _run_steps(t: float, dt: float, name: str) -> int:
 
 
 def _check_delta(delta: float) -> None:
-    """Reject a collapse threshold outside (0, 1)."""
+    """Reject a collapse threshold outside (0, 1), or one so small that
+    ``2 - delta`` rounds to 2 (delta <= 2**-53): the rule ``V >= 2 - delta``
+    would then hold only where the clamp puts a site at V = 2 exactly."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if 2.0 - delta == 2.0:
+        raise ValueError("delta must exceed 2**-53 (2 - delta rounds to 2)")
 
 
 def _check_site(j: int, n_sites: int) -> None:

@@ -40,7 +40,9 @@ experiments and ``bloch.purity_trace`` start every row from one state
 latent site from its own stream and takes one step of its own.  A block
 holds ``_block_rows(n)`` trajectories of n sites: 256, or up to 2^14 / n
 when the noise budget still draws 8 steps a row ahead, so small
-registers pay the per-step Python cost once per thousands of rows.
+registers pay the per-step Python cost once per thousands of rows, and
+down to one row past 2^14 sites, so a block's state stays within 2^22
+floats.
 ``_drive_block`` holds the block's live rows and its step count, and
 draws the live rows' noise several steps ahead itself.  The
 fixed-horizon observers fold each recorded step into a ``_Moments`` in
@@ -65,8 +67,11 @@ __all__ = [
     "TrajectoryResult",
 ]
 
-# Trajectories per block at 64 sites and more; no register gets fewer.
+# Trajectories per block from 64 to 2^14 sites; no smaller register gets fewer.
 _BLOCK = 256
+
+# Floats of state a block holds at most; past 2^14 sites it caps the rows.
+_STATE_CAP = 1 << 22
 
 # Floats of noise drawn ahead for all live rows of a block together.
 _DRAW_CAP = 1 << 17
@@ -77,10 +82,12 @@ def _block_rows(n: int) -> int:
 
     At least ``_BLOCK``; a larger block still draws at least 8 steps per
     row within ``_DRAW_CAP``, so small registers step up to 2^14 / n rows
-    at once and n >= 64 keeps ``_BLOCK``.  The size depends on n alone,
-    never on the worker count.
+    at once and 64 <= n <= 2^14 keeps ``_BLOCK``.  Past 2^14 sites a block
+    holds at most ``_STATE_CAP`` floats of state, and at least one row
+    (n = 2^18: 16 rows).  The size depends on n alone, never on the
+    worker count, and a trajectory's bits never depend on its block.
     """
-    return max(_BLOCK, _DRAW_CAP // (8 * n))
+    return max(1, min(max(_BLOCK, _DRAW_CAP // (8 * n)), _STATE_CAP // n))
 
 
 def increment(state: np.ndarray, dw: np.ndarray) -> np.ndarray:

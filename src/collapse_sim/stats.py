@@ -243,17 +243,26 @@ def _sweep_rows(n_list, params: SimParams) -> list[SimParams]:
             for row in rows]
 
 
+def _check_fit_sizes(n_list, n_min: int) -> None:
+    """The fit's rules on its sizes, which a sweep can check before it
+    runs: n_min is at least 4, because ln ln N is zero or negative below
+    and the regressor loses meaning, and at least 3 sizes have N >= n_min."""
+    if n_min < 4:
+        raise ValueError("n_min must be at least 4")
+    if sum(n >= n_min for n in n_list) < 3:
+        raise ValueError(f"the fit needs at least 3 sizes with N >= n_min ({n_min})")
+
+
 def fit_lnln(table: SweepTable, n_min: int = 4) -> FitResult:
     """Ordinary least squares of mean time on ln ln N.
 
     Uses rows with N >= n_min that kept their exceedance rate under 1%.
-    n_min below 4 is rejected because ln ln N is zero or negative there
-    and the regressor loses meaning.  The arithmetic follows
+    The sizes must pass ``_check_fit_sizes``, and at least 3 of those
+    rows must remain.  The arithmetic follows
     ``linregress`` step for step (biased moments from ``np.cov``, r
     clamped to [-1, 1]), so all four fields equal its results bitwise.
     """
-    if n_min < 4:
-        raise ValueError("n_min must be at least 4")
+    _check_fit_sizes([r.n_sites for r in table.rows], n_min)
     rows = [r for r in table.rows if r.n_sites >= n_min and r.fit_valid]
     if len(rows) < 3:
         raise ValueError("need at least 3 qualifying rows to fit")

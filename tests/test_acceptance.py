@@ -148,18 +148,24 @@ def test_c04_born_rule(uniform_born):
 def test_c05_norm_conservation():
     n_traj, n_steps = 100, 10000
     picker = np.random.default_rng(515)
-    worst = 0.0
-    lo, hi = np.inf, -np.inf
+    groups = {}  # size -> (start, noise kind, stream index) of each trajectory
     for i in range(n_traj):
         n = 64 if i < 3 else int(picker.integers(2, 65))
-        kind = KINDS[i % 3]
         raw = picker.random(n) + 1e-3
-        v = 2.0 * raw / raw.sum()
-        draw = noise_sampler(kind)
-        stream = derive_stream(2025, i)
-        for _ in range(n_steps):
-            v = euler_step(v, draw(stream, n), 1.0 / 25.0)
-            worst = max(worst, abs(float(v.sum()) - 2.0))
+        groups.setdefault(n, []).append((2.0 * raw / raw.sum(), KINDS[i % 3], i))
+    worst = 0.0
+    lo, hi = np.inf, -np.inf
+    # euler_step gives each row the bits it has alone, and a stream drawn as
+    # (steps, n) gives the numbers of steps draws of n, so the trajectories
+    # of one size step together as rows, with the noise of each drawn ahead.
+    for n, members in groups.items():
+        noise = np.empty((n_steps, len(members), n))
+        for r, (_, kind, i) in enumerate(members):
+            noise[:, r] = noise_sampler(kind)(derive_stream(2025, i), (n_steps, n))
+        v = np.array([start for start, _, _ in members])
+        for dw in noise:
+            v = euler_step(v, dw, 1.0 / 25.0)
+            worst = max(worst, float(np.abs(v.sum(axis=1) - 2.0).max()))
         lo = min(lo, float(v.min()))
         hi = max(hi, float(v.max()))
     ok = worst <= 1e-8 and lo >= 0.0 and hi <= 2.0

@@ -169,14 +169,15 @@ class TestSweep:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--n-list", "4,8,16", "--n-min", "2"], ["--n-list", "2,3,4"]],
+        "argv, text",
+        [(["--n-list", "4,8,16", "--n-min", "2"], "n_min must be at least 4"),
+         (["--n-list", "2,3,4"], "the fit needs at least 3 sizes with N >= n_min (4)")],
         ids=["n-min-below-4", "too-few-sizes-above-n-min"],
     )
-    def test_fit_inputs_checked_before_the_sweep(self, argv, capsys):
+    def test_fit_inputs_checked_before_the_sweep(self, argv, text, capsys):
         rc = main(["sweep", *argv, "--m", "2"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {text}\n"
         assert not Path("sweep.csv").exists()
 
     def test_step_mode(self):
@@ -213,6 +214,43 @@ class TestSweep:
         assert rc == 0
         assert '"horizon": 300,' in read("sweep_fit.json").decode()
         assert json.loads(read("sweep_fit.json"))["horizon"] == 300
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [("times", "--horizon", "5"), ("step", "--n-min", "7"), ("step", "--delta", "0.5")],
+        ids=["times-horizon", "step-n-min", "step-delta"],
+    )
+    def test_flags_the_mode_does_not_read_are_usage_errors(self, mode, flag, value, capsys):
+        argv = ["sweep", "--mode", mode, "--n-list", "4,8,16", "--m", "2", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --mode {mode} does not read {flag}\n")
+        assert os.listdir(".") == []
+
+    def test_the_resolved_mode_decides_which_flags_it_reads(self, tmp_path, capsys):
+        # The mode from the config block, then the default mode.
+        (tmp_path / "cfg.json").write_text(json.dumps({"sweep": {"mode": "step"}}))
+        assert main(["sweep", "--config", "cfg.json", "--n-list", "2,4", "--n-min", "7"]) == 2
+        assert main(["sweep", "--n-list", "4,8,16", "--m", "2", "--horizon", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --mode step does not read --n-min\n"
+            "error: --mode times does not read --horizon\n"
+        )
+        assert os.listdir(".") == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "mode, unread",
+        [("times", {"sweep": {"horizon": 0.5}}),
+         ("step", {"delta": 0.5, "sweep": {"n_min": 8}})],
+        ids=["times", "step"],
+    )
+    def test_config_keys_the_mode_does_not_read_are_ignored(self, mode, unread, tmp_path):
+        # Keys are shared across contexts, so one file can drive both modes.
+        argv = ["sweep", "--mode", mode, "--n-list", "4,8,16", "--m", "3"]
+        assert main(argv) == 0
+        expected = {f: read(f) for f in ("sweep.csv", "sweep_fit.json")}
+        (tmp_path / "cfg.json").write_text(json.dumps(unread))
+        assert main(argv + ["--config", "cfg.json"]) == 0
+        assert {f: read(f) for f in expected} == expected
 
 
 class TestBayes:

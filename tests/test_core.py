@@ -87,6 +87,14 @@ class TestSimParams:
         assert run_trajectory(SimParams(n_sites=4, dt=default_t_max(4)),
                               derive_stream(0, 0)).steps_taken <= 1
 
+    def test_smallest_delta_the_rule_holds(self):
+        # 2 - delta rounds to 2 up to delta = 2**-53, and is below 2 past it.
+        smallest = math.nextafter(2.0**-53, 1.0)
+        assert 2.0 - smallest < 2.0 == 2.0 - 2.0**-53
+        assert SimParams(n_sites=2, delta=smallest).delta == smallest
+        with pytest.raises(ValueError, match=r"^delta must exceed 2\*\*-53 \(2 - delta rounds"):
+            SimParams(n_sites=2, delta=2.0**-53)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -95,6 +103,7 @@ class TestSimParams:
             dict(n_sites=2, dt=-0.1),
             dict(n_sites=2, delta=0.0),
             dict(n_sites=2, delta=1.0),
+            dict(n_sites=2, delta=1e-17),
             dict(n_sites=2, t_max=0.01, dt=0.04),
             dict(n_sites=2, master_seed=1.5),
             dict(n_sites=2, noise_kind="triangular"),

@@ -500,6 +500,15 @@ class TestBlockRows:
                 assert sde._DRAW_CAP // (rows * n) >= 8
         assert [sde._block_rows(n) for n in (2, 16, 64, 512)] == [8192, 1024, 256, 256]
 
+    def test_state_cap(self):
+        # Arithmetic only: past 2^14 sites a block holds at most 2^22
+        # floats of state, or one row when a row alone is larger.
+        assert sde._block_rows(2**14) == sde._BLOCK
+        assert [sde._block_rows(2**k) for k in (15, 18, 22, 23, 40)] == [128, 16, 1, 1, 1]
+        for n in (2**14 + 1, 3 * 2**15, 2**18, 10**6, 2**22 + 1):
+            rows = sde._block_rows(n)
+            assert rows >= 1 and rows * n <= max(sde._STATE_CAP, n)
+
     def test_observers_do_not_depend_on_block_size(self, monkeypatch):
         # Six ensembles of m = 600: two in the step experiment (N = 3 and
         # 2), the Born tally at N = 3 and the rest at N = 2.  Budgets of

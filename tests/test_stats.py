@@ -428,6 +428,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_lnln(SweepTable(rows=rows), n_min=3)
 
+    def test_size_rules_before_the_rows_rule(self):
+        # The sizes' rules are the ones the CLI checks before a sweep runs;
+        # the rows that fail fit_valid are dropped only after it.
+        rows = tuple(make_stats(n, 1.0) for n in (2, 3, 4, 16))
+        sizes = r"^the fit needs at least 3 sizes with N >= n_min \(4\)$"
+        with pytest.raises(ValueError, match=sizes):
+            fit_lnln(SweepTable(rows=rows))
+        with pytest.raises(ValueError, match="^n_min must be at least 4$"):
+            fit_lnln(SweepTable(rows=rows), n_min=3)
+        bad = make_stats(64, 50.0, m=100, exceeded=5)
+        with pytest.raises(ValueError, match="^need at least 3 qualifying rows to fit$"):
+            fit_lnln(SweepTable(rows=(*rows[2:], bad)))
+
     def test_bitwise_equal_to_linregress(self):
         # Random tables with means over six decades, some rows dropped by
         # fit_valid or by N < 4, and exactly linear tables, whose r lands

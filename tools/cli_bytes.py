@@ -23,8 +23,10 @@ for a root setting their subcommand does not read or reads only as a
 bound of its length, a grid time that snaps past its own value, a
 step sweep over decreasing sizes, the length rules of a trajectory's
 ``t_max``, of a step sweep's horizon and of each sweep row's default
-horizon, and an output path under a regular file, so the config loader
-and the ``error:`` lines are held to the same bytes.
+horizon, an output path under a regular file, sweep flags that the
+resolved mode never reads, a threshold too small for ``2 - delta`` to
+fall below 2, and one ``sweep`` config block read by both modes, so the
+config loader and the ``error:`` lines are held to the same bytes.
 
 A case is ``(argv, config)``.  A config that is not None is written as
 ``config.json`` in the run's temporary directory before the run, so the
@@ -130,6 +132,13 @@ CONFIG_CASES = {
     # An output path under a regular file.
     "config-output-under-file": (["bayes", "--config", "config.json", "--m", "10",
                                   "--output", "config.json/x.csv"], {}),
+    # One sweep block for both modes: each ignores the key it does not read.
+    "config-sweep-block-times": (["sweep", "--config", "config.json"], {
+        "sweep": {"n_list": [4, 8, 16, 32], "m": 3, "horizon": 0.5, "n_min": 8},
+    }),
+    "config-sweep-block-step": (["sweep", "--config", "config.json", "--mode", "step"], {
+        "sweep": {"n_list": [4, 8, 16, 32], "m": 3, "horizon": 0.5, "n_min": 8},
+    }),
 }
 
 # Usage errors: each exits 2 with one error line.
@@ -153,6 +162,14 @@ ERROR_CASES = {
     "error-trajectory-t-max-below-dt": ["trajectory", "--t-max", "0.01"],
     "error-trajectory-t-max-inf": ["trajectory", "--t-max", "inf"],
     "error-trajectory-t-max-huge": ["trajectory", "--t-max", "1e300"],
+    # Flags of sweep options the resolved mode never reads.
+    "error-times-horizon": ["sweep", "--n-list", "4,8,16", "--m", "2", "--horizon", "5"],
+    "error-step-n-min": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2",
+                         "--n-min", "7"],
+    "error-step-delta": ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2",
+                         "--delta", "0.5"],
+    # 2 - delta rounds to 2 for delta <= 2**-53.
+    "error-trajectory-delta-1e-17": ["trajectory", "--delta", "1e-17"],
 }
 
 
