@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SimParams, _check_amplitudes, _check_delta, _check_integer, _check_site,
-                   init_uniform)
+from .core import (SimParams, _check_amplitudes, _check_count, _check_delta, _check_site,
+                   _check_vector, init_uniform)
 from .sde import _drive_ensemble
 
 __all__ = [
@@ -85,8 +85,7 @@ class ReadoutRecord:
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise ValueError("r must be a nonempty 1-D vector")
+        _check_vector(r, "r")
         if not np.all(np.isfinite(r)):
             raise ValueError("readout entries must be finite")
         object.__setattr__(self, "r", r)
@@ -234,8 +233,7 @@ def born_frequencies(
     `conditional_state` gives it, and integer counts add exactly, so the
     tally does not depend on the block size or on evaluation order.
     """
-    if _check_integer(m, "m") < 1:
-        raise ValueError("need at least one run")
+    m = _check_count(m, "m")
     a = _check_amplitudes(alpha0)
     _check_times(t, tau_m)
     p = _born_weights(a)

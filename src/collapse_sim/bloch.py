@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SimParams, _check_amplitudes, _check_dt, _check_integer, _check_site,
-                   init_uniform, noise_sampler)
+from .core import (SimParams, _check_amplitudes, _check_count, _check_dt, _check_site,
+                   _check_vector, init_uniform, noise_sampler)
 from .sde import _drive_ensemble, _fixed_start, _Moments, euler_step
 
 __all__ = [
@@ -86,15 +86,12 @@ class BlochEnsemble:
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D vector")
+            _check_vector(arr, name)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
         if not (self.x.shape == self.y.shape == self.z.shape):
             raise ValueError("x, y, z must have identical lengths")
-        if self.x.size == 0:
-            raise ValueError("need at least one qubit")
         for name in ("energy", "tunneling", "tau_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -324,10 +321,8 @@ def purity_trace(
     its own energy, tunneling and tau_m, which then override the keyword
     arguments; its size must equal ``params.n_sites``.
     """
-    if _check_integer(m, "m") < 1:
-        raise ValueError("need at least one realization")
-    if _check_integer(n_steps, "n_steps") < 1:
-        raise ValueError("need at least one step")
+    m = _check_count(m, "m")
+    n_steps = _check_count(n_steps, "n_steps")
     if initial is not None and initial.n_sites != params.n_sites:
         raise ValueError("initial state size does not match n_sites")
     template = initial if initial is not None else single_excitation_uniform(
@@ -394,8 +389,7 @@ def twin_deviation(params: SimParams, n_steps: int, stream: np.random.Generator)
     are algebraically identical in this regime, so the value measures
     only accumulated rounding and boundary-handling differences.
     """
-    if _check_integer(n_steps, "n_steps") < 1:
-        raise ValueError("need at least one twin step")
+    n_steps = _check_count(n_steps, "n_steps")
     n = params.n_sites
     v = init_uniform(n)
     state = single_excitation_uniform(n, tau_m=1.0)

@@ -5,12 +5,16 @@ declared once, as a row of ``ROOT_OPTIONS`` (the SimParams fields,
 t_max, path_stride and threads) or of its subcommand's ``COMMANDS``
 entry; the rows give the flags, the config keys, the parsers and the
 defaults.  A subcommand's ``reads`` names the root options it takes:
-only those get a flag and a resolved setting, and the SimParams fields
-among them a place in its ``SimParams``, so a flag for a root setting
-it never reads is a usage error.  ``sweep``'s ``unread_in_mode`` names,
-per mode, the options that mode never reads; a flag for one of them is
-a usage error once the mode is resolved, while the same config key is
-ignored.  ``t_max`` is the horizon of a run
+only those get a flag and a resolved setting, so a flag for a root
+setting it never reads is a usage error.  ``sweep``'s
+``unread_in_mode`` names, per mode, the options that mode never reads;
+a flag for one of them is a usage error once the mode is resolved,
+while the same config key is ignored: the setting is dropped before it
+is checked.  A run's ``SimParams`` takes each field from its resolved
+settings, and a field they do not hold from its row's default.  The
+parsers check a value's type and the positive counts (``_count``, for
+``path_stride``, ``threads`` and ``bloch``'s step counts); every other
+range rule is ``core``'s.  ``t_max`` is the horizon of a run
 with a collapse rule, so only ``trajectory`` reads it, and passes it to
 ``run_trajectory``; ``check``, ``sweep --mode step`` and ``bloch`` take
 their length from their own grid, horizon or step count, and ``sweep
@@ -51,7 +55,8 @@ import numpy as np
 
 from .bayes import born_frequencies
 from .bloch import purity_trace, twin_deviation
-from .core import NoiseKind, SimParams, derive_stream, init_uniform, init_weighted
+from .core import (NoiseKind, SimParams, _check_count, derive_stream, init_uniform,
+                   init_weighted)
 from .stats import (
     _check_fit_sizes,
     correlation_bound_check,
@@ -174,10 +179,10 @@ def _integer(value) -> int:
 
 
 def _count(value) -> int:
-    n = _integer(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {value!r}")
-    return n
+    try:
+        return _check_count(_integer(value), "count")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {value!r}") from None
 
 
 def _real(value) -> float:
@@ -306,9 +311,12 @@ def _settings(args, cfg: dict) -> argparse.Namespace:
             default = option.default
             value = default(settings) if callable(default) else default
         settings[option.name] = value
+    # A setting the resolved mode never reads is dropped, so an unread
+    # config key is not checked.
     for name in COMMANDS[args.command].unread_in_mode.get(settings.get("mode"), ()):
         if getattr(args, name) is not None:
             raise ConfigError(f"--mode {settings['mode']} does not read {_flag(name)}")
+        del settings[name]
     return argparse.Namespace(**settings)
 
 
@@ -474,7 +482,8 @@ class Command:
     sizes come from ``n_list``.  Every subcommand reads
     ``threads``: scripts pass it to each one, and no output depends on it.
     ``sweep --mode times`` never reads ``horizon``, and ``--mode step``
-    neither ``delta`` nor ``n_min``.
+    neither ``delta`` nor ``n_min``; a run in that mode has no such
+    setting.
     """
 
     run: Callable[[argparse.Namespace, SimParams], int]
@@ -489,13 +498,13 @@ def _options(command: Command) -> tuple[Option, ...]:
     return tuple(o for o in ROOT_OPTIONS if o.name in command.reads) + command.options
 
 
-def _sim_params(command: Command, settings: argparse.Namespace) -> SimParams:
-    """SimParams from the fields the command reads; the rest get their
-    rows' defaults.  ``t_max`` is not a field: a run's horizon is an
+def _sim_params(settings: argparse.Namespace) -> SimParams:
+    """SimParams from the fields the run's settings hold; the rest get
+    their rows' defaults.  ``t_max`` is not a field: a run's horizon is an
     argument of the run."""
     rows = {option.name: option for option in ROOT_OPTIONS}
-    return SimParams(**{f.name: getattr(settings, f.name) if f.name in command.reads
-                        else rows[f.name].default for f in fields(SimParams)})
+    return SimParams(**{f.name: getattr(settings, f.name, rows[f.name].default)
+                        for f in fields(SimParams)})
 
 
 COMMANDS = {
@@ -527,7 +536,7 @@ COMMANDS = {
     ), reads=("n_sites", "master_seed", "threads")),
     "bloch": Command(cmd_bloch, "Bloch-vector runs with purity trace", (
         Option("m", _integer, 200, "trajectories"),
-        Option("steps", _integer, 200, "steps per trajectory"),
+        Option("steps", _count, 200, "steps per trajectory"),
         Option("energy", _real, 0.0, "site energy"),
         Option("tunneling", _real, 0.0, "tunneling amplitude"),
         Option("tau_m", _real, 1.0, "measurement time"),
@@ -536,7 +545,7 @@ COMMANDS = {
                "occupation and Bloch steppers fed the same noise; it measures "
                "integrator agreement only while neither stepper repairs its state, "
                "so use a small --dt (at dt=1/25 boundary repairs dominate it)"),
-        Option("twin_steps", _integer, 10000, "steps of the twin comparison"),
+        Option("twin_steps", _count, 10000, "steps of the twin comparison"),
         Option("output", _text, "bloch.csv", "CSV table"),
         Option("summary_output", _text, "bloch_summary.json", "JSON summary"),
     ), reads=("n_sites", "dt", "noise_kind", "master_seed", "threads")),
@@ -590,7 +599,7 @@ def main(argv=None) -> int:
         settings = _settings(args, _load_config(args.config) if args.config else {})
         command = COMMANDS[args.command]
         # Bad settings raise ValueError; a run too large to allocate, MemoryError.
-        params = _sim_params(command, settings)
+        params = _sim_params(settings)
         # Output paths are checked before the run, so a bad one costs no run.
         seen = {}
         for name in ("output", "summary_output", "fit_output"):

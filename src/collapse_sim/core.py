@@ -18,12 +18,14 @@ Conventions used throughout the package:
   splitmix64 seeds and numpy's ``SeedSequence`` words as arrays and gives
   every stream the bits ``derive_stream`` gives it.
 * The rules for run settings live here, once each: integers
-  (:func:`_check_integer`), the step ``dt``, a run's step count
-  (:func:`_check_steps`) and the length of a run given as a time
-  (:func:`_run_steps`, for ``t_max`` and a step sweep's horizon), the
-  threshold ``delta``, site indices, normalized amplitudes and the
-  uniform start (:func:`init_uniform`).  The other modules call them
-  instead of keeping copies.
+  (:func:`_check_integer`), counts such as N, m and step counts
+  (:func:`_check_count`: an integer of at least some least value),
+  vector shapes (:func:`_check_vector`: nonempty and 1-D), the step
+  ``dt``, a run's step count (:func:`_check_steps`) and the length of a
+  run given as a time (:func:`_run_steps`, for ``t_max`` and a step
+  sweep's horizon), the threshold ``delta``, site indices, normalized
+  amplitudes and the uniform start (:func:`init_uniform`).  The other
+  modules call them instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -104,9 +106,7 @@ class SimParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_sites", _check_integer(self.n_sites, "n_sites"))
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
+        object.__setattr__(self, "n_sites", _check_count(self.n_sites, "n_sites"))
         _check_dt(self.dt)
         _check_delta(self.delta)
         object.__setattr__(self, "noise_kind", NoiseKind(self.noise_kind))
@@ -120,6 +120,20 @@ def _check_integer(value, name: str) -> int:
         return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+
+
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a Python int, by the integer rule, and at least ``least``."""
+    value = _check_integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def _check_vector(a: np.ndarray, name: str) -> None:
+    """Reject an array that is not a nonempty 1-D vector."""
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector")
 
 
 def _check_dt(dt: float) -> None:
@@ -168,8 +182,7 @@ def _check_site(j: int, n_sites: int) -> None:
 def validate_state(v: np.ndarray, atol: float = STATE_SUM_ATOL) -> np.ndarray:
     """Check the simplex invariants and return ``v`` as a float64 array."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("state must be a nonempty 1-D vector")
+    _check_vector(v, "state")
     if not np.all(np.isfinite(v)):
         raise ValueError("state has non-finite entries")
     if v.min() < -1e-12 or v.max() > 2.0 + 1e-12:
@@ -183,8 +196,7 @@ def _check_amplitudes(alpha0) -> np.ndarray:
     """``alpha0`` as an array, checked to be a nonempty vector of total
     probability one."""
     a = np.asarray(alpha0)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("amplitudes must be a nonempty 1-D vector")
+    _check_vector(a, "amplitudes")
     total = float(np.sum(np.abs(a) ** 2))
     if not abs(total - 1.0) <= _NORM_ATOL:
         raise ValueError("amplitudes must satisfy sum |alpha|^2 = 1")
@@ -193,16 +205,14 @@ def _check_amplitudes(alpha0) -> np.ndarray:
 
 def init_uniform(n_sites: int) -> np.ndarray:
     """Equal-weight initial state: every ``V_n = 2 / N``."""
-    if _check_integer(n_sites, "n_sites") < 1:
-        raise ValueError("n_sites must be >= 1")
+    n_sites = _check_count(n_sites, "n_sites")
     return np.full(n_sites, 2.0 / n_sites)
 
 
 def init_weighted(weights) -> np.ndarray:
     """State with excitation probabilities proportional to ``weights``."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a nonempty 1-D vector")
+    _check_vector(w, "weights")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and nonnegative")
     with np.errstate(over="ignore"):

@@ -56,8 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SimParams, _check_delta, _check_dt, _run_steps, default_t_max,
-                   derive_streams, init_uniform, noise_sampler, validate_state)
+from .core import (SimParams, _check_count, _check_delta, _check_dt, _run_steps,
+                   default_t_max, derive_streams, init_uniform, noise_sampler,
+                   validate_state)
 
 __all__ = [
     "increment",
@@ -401,15 +402,15 @@ def run_trajectory(
         must be finite, at least ``dt`` and below 2**53 steps.
     path_stride : int, optional
         Record the path: the start, every ``path_stride``-th step and the
-        last step.  None records nothing.
+        last step; an integer of at least 1.  None records nothing.
 
     The run is a one-row block of the same driver as ``run_ensemble``, so
     trajectory i of an ensemble replays exactly on stream (master_seed, i).
     The state is checked before the first step, so an initial condition
     already past the threshold reports collapse at time 0 with 0 steps.
     """
-    if path_stride is not None and path_stride < 1:
-        raise ValueError("path_stride must be >= 1")
+    if path_stride is not None:
+        path_stride = _check_count(path_stride, "path_stride")
     n = params.n_sites
     dt = params.dt
     max_steps = _run_steps(default_t_max(n) if t_max is None else t_max, dt, "t_max")

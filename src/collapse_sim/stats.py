@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (SimParams, _check_integer, _check_steps, _run_steps, default_t_max,
+from .core import (SimParams, _check_count, _check_steps, _run_steps, default_t_max,
                    derive_seed, init_uniform)
 # Unused, but perfbench's tracer test checks that stats binds derive_stream.
 from .core import derive_stream  # noqa: F401
@@ -177,10 +177,8 @@ def run_ensemble(
     farmed out to worker processes.  Either way the ranges' results are
     joined in index order, so they are identical to the serial ones.
     """
-    if _check_integer(m, "m") < 1:
-        raise ValueError("need at least one realization")
-    if _check_integer(workers, "workers") < 1:
-        raise ValueError("workers must be positive")
+    m = _check_count(m, "m")
+    workers = _check_count(workers, "workers")
     initial = _start_state(params.n_sites, initial)
     steps = _run_steps(default_t_max(params.n_sites) if t_max is None else t_max, params.dt,
                        "t_max")
@@ -247,8 +245,7 @@ def _check_fit_sizes(n_list, n_min: int) -> None:
     """The fit's rules on its sizes, which a sweep can check before it
     runs: n_min is at least 4, because ln ln N is zero or negative below
     and the regressor loses meaning, and at least 3 sizes have N >= n_min."""
-    if n_min < 4:
-        raise ValueError("n_min must be at least 4")
+    _check_count(n_min, "n_min", 4)
     if sum(n >= n_min for n in n_list) < 3:
         raise ValueError(f"the fit needs at least 3 sizes with N >= n_min ({n_min})")
 
@@ -327,8 +324,7 @@ def correlation_bound_check(
     grow one row at a time, in place: a block's outer products at once
     would take rows * n * n floats, and measured slower.
     """
-    if _check_integer(m, "m") < 2:
-        raise ValueError("need at least two realizations for standard errors")
+    m = _check_count(m, "m", 2)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
@@ -338,9 +334,8 @@ def correlation_bound_check(
         raise ValueError("grid times must be nonnegative")
     dt = params.dt
     _check_steps(t_grid[-1], dt, "grid time")
-    n = params.n_sites
-    if n < 2:
-        raise ValueError("pairwise moments need at least two sites")
+    # Pairwise moments need at least two sites.
+    n = _check_count(params.n_sites, "n_sites", 2)
     steps_at = np.array([int(round(t / dt)) for t in t_grid])
     grid_times = steps_at * dt
     total_steps = int(steps_at.max())
@@ -436,8 +431,7 @@ def initial_step_experiment(
     """
     rows = _sweep_rows(n_list, params)
     steps = _run_steps(horizon, params.dt, "horizon")
-    if _check_integer(m, "m") < 1:
-        raise ValueError("need at least one realization")
+    m = _check_count(m, "m")
     means = np.empty(len(rows))
     stderrs = np.empty(len(rows))
     for i, row in enumerate(rows):

@@ -531,7 +531,7 @@ def reference_run_trajectory(params, stream, initial=None, *, t_max, path_stride
 
 def reference_born_frequencies(alpha0, t, tau_m, m, seed):
     if m < 1:
-        raise ValueError("need at least one run")
+        raise ValueError("m must be >= 1")
     a = _check_amplitudes(alpha0)
     size = a.size
     counts = np.zeros(size, dtype=np.int64)

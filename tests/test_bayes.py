@@ -366,7 +366,7 @@ class TestBornFrequencies:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((uniform_amps(3), 1.0, 1.0, 0, 1), "need at least one run"),
+            ((uniform_amps(3), 1.0, 1.0, 0, 1), "^m must be >= 1$"),
             ((uniform_amps(3), -0.5, 1.0, 10, 1), "t must be nonnegative"),
             ((uniform_amps(3), 1.0, 0.0, 10, 1), "tau_m must be positive"),
             ((uniform_amps(3), 1.0, math.nan, 10, 1), "tau_m must be finite"),

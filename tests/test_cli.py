@@ -170,7 +170,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "argv, text",
-        [(["--n-list", "4,8,16", "--n-min", "2"], "n_min must be at least 4"),
+        [(["--n-list", "4,8,16", "--n-min", "2"], "n_min must be >= 4"),
          (["--n-list", "2,3,4"], "the fit needs at least 3 sizes with N >= n_min (4)")],
         ids=["n-min-below-4", "too-few-sizes-above-n-min"],
     )
@@ -251,6 +251,20 @@ class TestSweep:
         (tmp_path / "cfg.json").write_text(json.dumps(unread))
         assert main(argv + ["--config", "cfg.json"]) == 0
         assert {f: read(f) for f in expected} == expected
+
+    def test_a_root_key_the_mode_does_not_read_is_not_checked(self, tmp_path, capsys):
+        # Step mode never reads delta, so a root delta outside (0, 1) is
+        # ignored; times mode reads it and rejects it.
+        argv = ["sweep", "--mode", "step", "--n-list", "2,4", "--m", "2"]
+        assert main(argv) == 0
+        expected = {f: read(f) for f in ("sweep.csv", "sweep_fit.json")}
+        (tmp_path / "cfg.json").write_text(json.dumps({"delta": 1.5}))
+        assert main(argv + ["--config", "cfg.json"]) == 0
+        assert {f: read(f) for f in expected} == expected
+        capsys.readouterr()
+        times = ["sweep", "--mode", "times", "--n-list", "4,8,16", "--m", "2"]
+        assert main(times + ["--config", "cfg.json"]) == 2
+        assert capsys.readouterr() == ("", "error: delta must lie in (0, 1)\n")
 
 
 class TestBayes:
@@ -352,6 +366,17 @@ class TestBloch:
         assert err.startswith("error: ")
         assert not Path("bloch.csv").exists()
         assert not Path("bloch_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--steps", "0"], "--steps"), (["--twin", "true", "--twin-steps", "0"], "--twin-steps")],
+        ids=["steps", "twin-steps"],
+    )
+    def test_zero_step_errors_name_their_flag(self, extra, flag, capsys):
+        assert main(self.ARGS + extra) == 2
+        assert capsys.readouterr() == (
+            "", f"error: argument {flag}: not a positive integer: '0'\n")
+        assert os.listdir(".") == []
 
 
 class TestCheck:

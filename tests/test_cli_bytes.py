@@ -14,10 +14,10 @@ CHEAP = {"trajectory": (["trajectory", "--n-sites", "3", "--master-seed", "5", "
 
 def test_cases_cover_c12_fixed_horizon_and_extras():
     cases = cli_bytes.cases()
-    assert len(cases) == 5 + 8 + 24 + 9 + 18
+    assert len(cases) == 5 + 8 + 24 + 11 + 18
     assert cases["c12-check"][0][0] == "check"
     assert cases["fixed-horizon-check-seed17"][0][0] == "check"
-    assert sum(config is not None for _, config in cases.values()) == 9
+    assert sum(config is not None for _, config in cases.values()) == 11
     # Outputs land in the temporary directory of each run.
     assert not any(arg.startswith("/") for argv, _ in cases.values() for arg in argv)
 

@@ -20,12 +20,18 @@ from collapse_sim.core import (
     noise_sampler,
     validate_state,
 )
-from collapse_sim.bayes import born_frequencies
-from collapse_sim.bloch import purity_trace, twin_deviation
+from collapse_sim.bayes import ReadoutRecord, born_frequencies
+from collapse_sim.bloch import BlochEnsemble, purity_trace, twin_deviation
 from collapse_sim.sde import run_trajectory
-from collapse_sim.stats import correlation_bound_check, initial_step_experiment, run_ensemble
+from collapse_sim.stats import (CollapseStats, SweepTable, correlation_bound_check, fit_lnln,
+                                initial_step_experiment, run_ensemble)
 
 P2 = SimParams(n_sites=2)
+
+# A table that fit_lnln fits at its default n_min of 4.
+FIT_TABLE = SweepTable(rows=tuple(
+    CollapseStats(n, 10, 1.0 + n / 100, 0.1, np.eye(1, n, dtype=np.int64)[0] * 10, 0)
+    for n in (4, 16, 64)))
 
 # The two runs that take a horizon, each given ``t_max`` (None: the default).
 HORIZON_RUNS = {
@@ -34,27 +40,62 @@ HORIZON_RUNS = {
     "run_ensemble": lambda params, t_max: run_ensemble(params, 2, t_max=t_max),
 }
 
-# Each entry point with one count replaced by ``bad``, and that count's name.
+# Each entry point with one count replaced by ``bad``, that count's name
+# and its least value (None: any integer).
 COUNTS = {
-    "run_ensemble-m": (lambda bad: run_ensemble(P2, bad), "m"),
-    "run_ensemble-workers": (lambda bad: run_ensemble(P2, 3, workers=bad), "workers"),
-    "purity_trace-m": (lambda bad: purity_trace(P2, bad, 3), "m"),
-    "purity_trace-n_steps": (lambda bad: purity_trace(P2, 2, bad), "n_steps"),
-    "correlation_bound_check-m": (lambda bad: correlation_bound_check(P2, bad, [0.1]), "m"),
-    "initial_step_experiment-m": (lambda bad: initial_step_experiment([2, 4], P2, 1.0, bad), "m"),
+    "run_ensemble-m": (lambda bad: run_ensemble(P2, bad), "m", 1),
+    "run_ensemble-workers": (lambda bad: run_ensemble(P2, 3, workers=bad), "workers", 1),
+    "purity_trace-m": (lambda bad: purity_trace(P2, bad, 3), "m", 1),
+    "purity_trace-n_steps": (lambda bad: purity_trace(P2, 2, bad), "n_steps", 1),
+    "correlation_bound_check-m": (lambda bad: correlation_bound_check(P2, bad, [0.1]), "m", 2),
+    "correlation_bound_check-n_sites": (
+        lambda bad: correlation_bound_check(SimParams(n_sites=bad), 3, [0.1]), "n_sites", 2),
+    "initial_step_experiment-m": (lambda bad: initial_step_experiment([2, 4], P2, 1.0, bad),
+                                  "m", 1),
     "twin_deviation-n_steps": (lambda bad: twin_deviation(P2, bad, derive_stream(0, 0)),
-                               "n_steps"),
-    "born_frequencies-m": (lambda bad: born_frequencies(np.array([0.6, 0.8]), 1, 1, bad, 1), "m"),
-    "init_uniform": (lambda bad: init_uniform(bad), "n_sites"),
-    "SimParams-n_sites": (lambda bad: SimParams(n_sites=bad), "n_sites"),
-    "SimParams-master_seed": (lambda bad: SimParams(n_sites=2, master_seed=bad), "master_seed"),
+                               "n_steps", 1),
+    "born_frequencies-m": (lambda bad: born_frequencies(np.array([0.6, 0.8]), 1, 1, bad, 1),
+                           "m", 1),
+    "run_trajectory-path_stride": (
+        lambda bad: run_trajectory(P2, derive_stream(0, 0), path_stride=bad), "path_stride", 1),
+    "fit_lnln-n_min": (lambda bad: fit_lnln(FIT_TABLE, n_min=bad), "n_min", 4),
+    "init_uniform": (lambda bad: init_uniform(bad), "n_sites", 1),
+    "SimParams-n_sites": (lambda bad: SimParams(n_sites=bad), "n_sites", 1),
+    "SimParams-master_seed": (lambda bad: SimParams(n_sites=2, master_seed=bad), "master_seed",
+                              None),
 }
+LEAST = {key: entry for key, entry in COUNTS.items() if entry[2] is not None}
 
 
 @pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
-@pytest.mark.parametrize("call, name", COUNTS.values(), ids=COUNTS.keys())
-def test_counts_go_through_the_integer_rule(call, name, bad):
+@pytest.mark.parametrize("call, name, least", COUNTS.values(), ids=COUNTS.keys())
+def test_counts_go_through_the_integer_rule(call, name, least, bad):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, name, least", LEAST.values(), ids=LEAST.keys())
+def test_counts_below_their_least_value_are_rejected(call, name, least):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+        call(least - 1)
+
+
+# Each entry point with one vector replaced by ``bad``, and that vector's name.
+VECTORS = {
+    "validate_state": (lambda bad: validate_state(bad), "state"),
+    "_check_amplitudes": (lambda bad: core._check_amplitudes(bad), "amplitudes"),
+    "init_weighted": (lambda bad: init_weighted(bad), "weights"),
+    "ReadoutRecord": (lambda bad: ReadoutRecord(bad, 1.0, 1.0), "r"),
+    "BlochEnsemble-x": (lambda bad: BlochEnsemble(bad, [0.0], [0.0]), "x"),
+    "BlochEnsemble-y": (lambda bad: BlochEnsemble([0.0], bad, [0.0]), "y"),
+    "BlochEnsemble-z": (lambda bad: BlochEnsemble([0.0], [0.0], bad), "z"),
+}
+
+
+@pytest.mark.parametrize("bad", [[], [[1.0]]], ids=["empty", "2-D"])
+@pytest.mark.parametrize("call, name", VECTORS.values(), ids=VECTORS.keys())
+def test_vectors_go_through_the_vector_rule(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonempty 1-D vector$"):
         call(bad)
 
 

@@ -435,7 +435,7 @@ class TestFit:
         sizes = r"^the fit needs at least 3 sizes with N >= n_min \(4\)$"
         with pytest.raises(ValueError, match=sizes):
             fit_lnln(SweepTable(rows=rows))
-        with pytest.raises(ValueError, match="^n_min must be at least 4$"):
+        with pytest.raises(ValueError, match="^n_min must be >= 4$"):
             fit_lnln(SweepTable(rows=rows), n_min=3)
         bad = make_stats(64, 50.0, m=100, exceeded=5)
         with pytest.raises(ValueError, match="^need at least 3 qualifying rows to fit$"):

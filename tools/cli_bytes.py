@@ -25,8 +25,9 @@ step sweep over decreasing sizes, the length rules of a trajectory's
 ``t_max``, of a step sweep's horizon and of each sweep row's default
 horizon, an output path under a regular file, sweep flags that the
 resolved mode never reads, a threshold too small for ``2 - delta`` to
-fall below 2, and one ``sweep`` config block read by both modes, so the
-config loader and the ``error:`` lines are held to the same bytes.
+fall below 2, one ``sweep`` config block read by both modes, and a
+config root ``delta`` outside (0, 1) under each mode, so the config
+loader and the ``error:`` lines are held to the same bytes.
 
 A case is ``(argv, config)``.  A config that is not None is written as
 ``config.json`` in the run's temporary directory before the run, so the
@@ -139,6 +140,11 @@ CONFIG_CASES = {
     "config-sweep-block-step": (["sweep", "--config", "config.json", "--mode", "step"], {
         "sweep": {"n_list": [4, 8, 16, 32], "m": 3, "horizon": 0.5, "n_min": 8},
     }),
+    # A root delta outside (0, 1): step mode never reads it, times mode rejects it.
+    "config-step-root-delta": (["sweep", "--config", "config.json", "--mode", "step",
+                                "--n-list", "2,4", "--m", "2"], {"delta": 1.5}),
+    "config-times-root-delta": (["sweep", "--config", "config.json", "--mode", "times",
+                                 "--n-list", "4,8,16", "--m", "2"], {"delta": 1.5}),
 }
 
 # Usage errors: each exits 2 with one error line.
