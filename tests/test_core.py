@@ -30,8 +30,7 @@ P2 = SimParams(n_sites=2)
 
 # A table that fit_lnln fits at its default n_min of 4.
 FIT_TABLE = SweepTable(rows=tuple(
-    CollapseStats(n, 10, 1.0 + n / 100, 0.1, np.eye(1, n, dtype=np.int64)[0] * 10, 0)
-    for n in (4, 16, 64)))
+    CollapseStats(n, 10, 1.0 + n / 100, 0.1, [10] + [0] * (n - 1), 0) for n in (4, 16, 64)))
 
 # The two runs that take a horizon, each given ``t_max`` (None: the default).
 HORIZON_RUNS = {
